@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .lattice import TWO_PI
 
 
 @dataclass(frozen=True)

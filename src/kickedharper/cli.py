@@ -450,3 +450,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,10 +1,12 @@
 """Floquet operators on the momentum lattice and long-time evolution.
 
-Kick factors e^{-i x cos q} are applied exactly on a position grid of the
-lattice size (cos q is diagonal there); free-evolution factors are diagonal
-phases in momentum.  Rational effective Planck constants get bit-exact
-diagonal phases via integer reduction, which keeps lattice periodicity exact
-for the Bloch machinery and avoids large-argument phase loss at big |l|.
+Kick factors e^{-i x cos q} are applied exactly on the position grid
+q_k = (2*pi*k + theta)/n of an n-site lattice (cos q is diagonal there): theta
+is 0 in transport runs, and a Bloch block at angle theta is the same period
+step on one lattice period.  Free-evolution factors are diagonal phases in
+momentum.  Rational effective Planck constants get bit-exact diagonal phases
+via integer reduction, which keeps lattice periodicity exact for the Bloch
+machinery and avoids large-argument phase loss at big |l|.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import LatticeOverflowError, NumericalError, ResourceLimitError
-from .lattice import (DKRM_GENERAL, DKRM_RESONANT, KHM, TWO_PI, EffPlanck,
+from .lattice import (DKRM_RESONANT, KHM, TWO_PI, EffPlanck,
                       ModelSpec, Wavepacket, edge_mass, momentum_variance)
 
 DEFAULT_LEAK_THRESHOLD = 1e-10
@@ -88,7 +90,6 @@ class QuadraticPhase:
 
     coeff: float
     cycles: Fraction | None = None
-    description: str = ""
 
     def __post_init__(self):
         if self.cycles is not None:
@@ -114,7 +115,6 @@ class HarperPhase:
 
     strength: float
     planck: EffPlanck
-    description: str = ""
 
     def values(self, l) -> np.ndarray:
         l = np.asarray(l, dtype=np.int64)
@@ -127,9 +127,6 @@ class HarperPhase:
         return np.exp(-1j * self.strength * np.cos(self.planck.value * l.astype(np.float64)))
 
 
-DiagonalFactor = (QuadraticPhase, HarperPhase)
-
-
 def floquet_factors(model: ModelSpec) -> tuple:
     """One period of the model as factors in application order (first acts first)."""
     hb = model.hbar_eff.value
@@ -137,29 +134,38 @@ def floquet_factors(model: ModelSpec) -> tuple:
     cyc = Fraction(rp.num, rp.den) if rp is not None else None
     if model.kind == KHM:
         return (KickFactor(model.k1 / hb),
-                HarperPhase(model.k2 / hb, model.hbar_eff, "harper cosine"))
-    first_drift = QuadraticPhase(hb, cyc, "drift between the kicks")
+                HarperPhase(model.k2 / hb, model.hbar_eff))
+    first_drift = QuadraticPhase(hb, cyc)
     if model.kind == DKRM_RESONANT:
-        closing = (QuadraticPhase(-hb, None if cyc is None else -cyc,
-                                  "inverted drift closing the period"),)
+        closing = (QuadraticPhase(-hb, None if cyc is None else -cyc),)
     else:
         nu, mu = model.resonance
         res = Fraction(2 * nu, mu)
         res_coeff = TWO_PI * res.numerator / res.denominator
         if cyc is not None:
-            closing = (QuadraticPhase(res_coeff - hb, res - cyc,
-                                      "resonant drift closing the period"),)
+            closing = (QuadraticPhase(res_coeff - hb, res - cyc),)
         else:
-            closing = (QuadraticPhase(res_coeff, res, "resonant drift"),
-                       QuadraticPhase(-hb, None, "inverted drift"))
+            closing = (QuadraticPhase(res_coeff, res),
+                       QuadraticPhase(-hb, None))
     return (KickFactor(model.k1 / hb), first_drift,
             KickFactor(model.k2 / hb)) + closing
 
 
 # ── applying factors on the lattice ────────────────────────────────────────
 
-def _kick_table(strength: float, n: int) -> np.ndarray:
-    return np.exp(-1j * strength * np.cos(TWO_PI * np.arange(n) / n))
+@lru_cache(maxsize=8)
+def _kick_table(strength: float, n: int, theta: float = 0.0) -> np.ndarray:
+    """e^{-i strength cos q_k}, q_k = (2*pi*k + theta)/n; read-only, as it is shared."""
+    table = np.exp(-1j * strength * np.cos((TWO_PI * np.arange(n) + theta) / n))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def _diagonal_table(factor, l_min: int, n: int) -> np.ndarray:
+    table = factor.values(np.arange(l_min, l_min + n, dtype=np.int64))
+    table.flags.writeable = False
+    return table
 
 
 def apply_kick(psi: Wavepacket, x: float) -> Wavepacket:
@@ -175,19 +181,30 @@ def apply_kick(psi: Wavepacket, x: float) -> Wavepacket:
 def apply_quadratic_phase(psi: Wavepacket, tau: float,
                           cycles: Fraction | None = None) -> Wavepacket:
     """Multiply amplitudes by e^{-i tau l^2 / 2} sitewise."""
-    return psi.with_amps(psi.amps * QuadraticPhase(tau, cycles).values(psi.sites()))
+    table = _diagonal_table(QuadraticPhase(tau, cycles), psi.l_min, psi.n_sites)
+    return psi.with_amps(psi.amps * table)
 
 
 @lru_cache(maxsize=4)
-def _kernel_tables(model: ModelSpec, l_min: int, n: int) -> tuple:
-    sites = np.arange(l_min, l_min + n, dtype=np.int64)
+def _kernel_tables(model: ModelSpec, l_min: int, n: int, theta: float) -> tuple:
     ops = []
     for f in floquet_factors(model):
         if isinstance(f, KickFactor):
-            ops.append(("kick", _kick_table(f.strength, n)))
+            ops.append(("kick", _kick_table(f.strength, n, theta)))
         else:
-            ops.append(("diag", f.values(sites)))
+            ops.append(("diag", _diagonal_table(f, l_min, n)))
     return tuple(ops)
+
+
+def _apply_period(model: ModelSpec, amps: np.ndarray, l_min: int,
+                  theta: float = 0.0) -> np.ndarray:
+    """One period along the last axis of a state or a stack of states from site l_min."""
+    for op, table in _kernel_tables(model, l_min, amps.shape[-1], theta):
+        if op == "kick":
+            amps = _fft.fft(_fft.ifft(amps) * table)
+        else:
+            amps = amps * table
+    return amps
 
 
 def trigger_margin(model: ModelSpec, n_sites: int) -> int:
@@ -208,13 +225,7 @@ def apply_floquet(model: ModelSpec, psi: Wavepacket, *,
     leak_threshold probability within `margin` sites of the lattice edge;
     the caller is expected to grow the lattice and retry.
     """
-    amps = psi.amps
-    for op, table in _kernel_tables(model, psi.l_min, psi.n_sites):
-        if op == "kick":
-            amps = _fft.fft(_fft.ifft(amps) * table)
-        else:
-            amps = amps * table
-    out = psi.with_amps(amps)
+    out = psi.with_amps(_apply_period(model, psi.amps, psi.l_min))
     m = trigger_margin(model, psi.n_sites) if margin is None else margin
     if edge_mass(out, m) > leak_threshold:
         raise LatticeOverflowError(

@@ -2,8 +2,10 @@
 
 With hbar_eff = 2*pi*num/den the momentum-diagonal factors repeat after a
 finite number of sites, so the Floquet operator block-diagonalizes over a
-Bloch angle theta into finite unitaries.  Their eigenphases, swept over a
-Farey set of rationals, form the quasi-energy butterflies.
+Bloch angle theta into finite unitaries.  Each block is the lattice step of
+the transport runs, applied on one lattice period with the kick grid twisted
+by theta.  Their eigenphases, swept over a Farey set of rationals, form the
+quasi-energy butterflies.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .lattice import (DKRM_RESONANT, KHM, TWO_PI, EffPlanck, ModelSpec,
                       Rational, farey_sequence)
-from .quantum import (KickCoefficients, KickFactor, floquet_factors,
-                      kick_coefficients)
+from .quantum import KickFactor, _apply_period, floquet_factors
 
 UNITARITY_TOL = 1e-8
 EIGENMOD_TOL = 1e-6
@@ -72,34 +73,17 @@ class BlochMatrix:
     matrix: np.ndarray = field(repr=False)
 
 
-def _kick_block(coeffs: KickCoefficients, period: int, theta: float) -> np.ndarray:
-    block = np.zeros((period, period), dtype=np.complex128)
-    offsets = np.subtract.outer(np.arange(period), np.arange(period))
-    n_max = (coeffs.cutoff + period) // period
-    for n in range(-n_max, n_max + 1):
-        m = offsets + n * period
-        mask = np.abs(m) <= coeffs.cutoff
-        if mask.any():
-            block[mask] += coeffs.coeffs[m[mask] + coeffs.cutoff] * np.exp(1j * n * theta)
-    return block
+def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> BlochMatrix:
+    """The Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l.
 
-
-def build_bloch_matrix(model: ModelSpec, theta: float,
-                       coeffs: dict[float, KickCoefficients] | None = None) -> BlochMatrix:
-    """Assemble the Bloch block at angle theta by multiplying factor blocks."""
+    It is the lattice step on P sites with kick grid q_k = (2*pi*k + theta)/P,
+    conjugated by the gauge diag(e^{i theta l/P}).  coeffs is ignored; it is
+    kept for callers that still pass precomputed kick coefficients.
+    """
     period = lattice_period(model)
-    sites = np.arange(period, dtype=np.int64)
-    u = None
-    for f in floquet_factors(model):
-        if isinstance(f, KickFactor):
-            c = coeffs.get(f.strength) if coeffs else None
-            if c is None:
-                c = kick_coefficients(f.strength)
-            block = _kick_block(c, period, theta)
-            u = block if u is None else block @ u
-        else:
-            vals = f.values(sites)
-            u = np.diag(vals) if u is None else vals[:, None] * u
+    u = _apply_period(model, np.eye(period, dtype=np.complex128), 0, float(theta)).T
+    gauge = np.exp(1j * theta * np.arange(period) / period)
+    u = gauge.conj()[:, None] * u * gauge
     err = np.max(np.abs(u.conj().T @ u - np.eye(period)))
     if err > UNITARITY_TOL:
         raise NumericalError(f"Bloch block unitarity defect {err:.3e}")
@@ -152,11 +136,8 @@ def model_from_ratios(kind: str, ratio1: float, ratio2: float, num: int, den: in
 
 def _slices_for_model(args) -> list:
     model, theta_count = args
-    strengths = {f.strength for f in floquet_factors(model)
-                 if isinstance(f, KickFactor)}
-    coeffs = {x: kick_coefficients(x) for x in strengths}
     return [SpectrumSlice(model.hbar_eff, float(th),
-                          quasienergies(build_bloch_matrix(model, th, coeffs)))
+                          quasienergies(build_bloch_matrix(model, th)))
             for th in theta_grid(theta_count)]
 
 

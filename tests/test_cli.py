@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kickedharper
 from kickedharper import TRANSPORT_LABELS
 from kickedharper.cli import DIFFUSION_HEADER, SPECTRUM_HEADER, main
 
@@ -150,6 +155,28 @@ def test_classical_rejects_the_general_resonance_model(tmp_path):
                   "resonance": [1, 2]},
     }
     assert main([write_config(tmp_path, "c.json", cfg)]) == 2
+
+
+def test_module_entry_point_runs_the_config(tmp_path):
+    cfg = {
+        "command": "classical",
+        "output_prefix": str(tmp_path / "cl"),
+        "model": {"kind": "khm", "k1": 1.3, "k2": 0.7},
+        "n_points": 100,
+        "n_steps": 5,
+    }
+    src = str(Path(kickedharper.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(config_path):
+        return subprocess.run([sys.executable, "-m", "kickedharper.cli", config_path],
+                              env=env, capture_output=True, timeout=120).returncode
+
+    assert run(write_config(tmp_path, "c.json", cfg)) == 0
+    assert (tmp_path / "cl_trajectory.csv").is_file()
+    assert (tmp_path / "cl_classical.json").is_file()
+    assert run(str(tmp_path / "missing.json")) == 2
 
 
 # ── fractal ────────────────────────────────────────────────────────────────

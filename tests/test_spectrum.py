@@ -12,6 +12,7 @@ from kickedharper import (
     BlochMatrix,
     ConfigError,
     EffPlanck,
+    KickFactor,
     ModelSpec,
     NumericalError,
     Rational,
@@ -21,6 +22,8 @@ from kickedharper import (
     build_bloch_matrix,
     butterfly_scan,
     check_symmetry_claims,
+    floquet_factors,
+    kick_coefficients,
     lattice_period,
     model_from_ratios,
     parse_effective_planck,
@@ -121,6 +124,45 @@ def test_quasienergies_wrap_into_the_half_open_interval():
     assert eps[0] == pytest.approx(np.pi)
     with pytest.raises(NumericalError):
         quasienergies(BlochMatrix(1, 0.0, np.array([[0.5 + 0j]])))
+
+
+def band_sum_kick_block(coeffs, period, theta):
+    """Kick block as the sum over image bands, sum_n c_{a-b+nP} e^{i n theta}."""
+    block = np.zeros((period, period), dtype=np.complex128)
+    offsets = np.subtract.outer(np.arange(period), np.arange(period))
+    n_max = (coeffs.cutoff + period) // period
+    for n in range(-n_max, n_max + 1):
+        m = offsets + n * period
+        mask = np.abs(m) <= coeffs.cutoff
+        if mask.any():
+            block[mask] += coeffs.coeffs[m[mask] + coeffs.cutoff] * np.exp(1j * n * theta)
+    return block
+
+
+def band_sum_bloch_matrix(model, theta):
+    """Product of factor blocks, kicks from the truncated momentum band."""
+    period = lattice_period(model)
+    sites = np.arange(period, dtype=np.int64)
+    u = np.eye(period, dtype=np.complex128)
+    for f in floquet_factors(model):
+        if isinstance(f, KickFactor):
+            u = band_sum_kick_block(kick_coefficients(f.strength), period, theta) @ u
+        else:
+            u = f.values(sites)[:, None] * u
+    return u
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec(KHM, 1.3, 0.7, parse_effective_planck("2pi*89/233")),
+    ModelSpec(DKRM_RESONANT, 1.1, 0.6, parse_effective_planck("2pi*7/23")),
+    ModelSpec(DKRM_GENERAL, 0.9, 2.4, parse_effective_planck("2pi*1/5"),
+              resonance=(1, 2)),
+])
+def test_bloch_matrix_equals_the_kick_band_sum(model):
+    for theta in (0.0, 0.37, 1.9, math.pi, 4.4, -2.2):
+        block = build_bloch_matrix(model, theta).matrix
+        ref = band_sum_bloch_matrix(model, theta)
+        assert np.max(np.abs(block - ref)) < 1e-12
 
 
 def test_bloch_spectrum_is_independent_of_theta_sign():

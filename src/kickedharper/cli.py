@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,9 +25,8 @@ from .classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
                         equivalence_residual, trajectory)
 from .errors import (ConfigError, LatticeOverflowError, NumericalError,
                      ResourceLimitError)
-from .lattice import (DKRM_GENERAL, DKRM_RESONANT, KHM, MODEL_KINDS, TWO_PI,
-                      ModelSpec, Wavepacket, farey_sequence,
-                      parse_effective_planck)
+from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Wavepacket,
+                      farey_sequence, parse_effective_planck)
 from .quantum import evolve
 from .spectrum import (butterfly_scan, check_symmetry_claims, model_spectrum)
 
@@ -34,13 +34,13 @@ WORKERS_ENV = "KICKEDHARPER_WORKERS"
 
 _COMMON_KEYS = {"command", "output_prefix", "workers", "model"}
 _MODEL_KEYS = {"kind", "k1", "k2", "hbar", "resonance"}
-_COMMAND_KNOBS = {
-    "butterfly": {"s_max", "theta_count", "window_cycles"},
-    "evolve": {"n_steps", "record_every", "fit_window"},
-    "classical": {"n_points", "n_steps", "seed"},
-    "fractal": {"theta_count", "scales"},
-    "check-symmetries": {"s_max", "theta_count", "tolerance", "n_rationals"},
-}
+
+# hbar rules: a scan command picks hbar itself and reads k1, k2 as the ratios
+# k/hbar; evolve takes any hbar; fractal needs the exact '2pi*num/den' form.
+NO_HBAR, ANY_HBAR, EXACT_HBAR = "none", "any", "exact"
+# a scan command's model holds the ratios as k1, k2 at this placeholder hbar;
+# its runner reads only kind, k1, k2 and resonance
+_PLACEHOLDER_HBAR = EffPlanck.from_rational(1, 1)
 
 
 # ── config parsing ─────────────────────────────────────────────────────────
@@ -49,65 +49,76 @@ def _fail(msg: str):
     raise ConfigError(msg)
 
 
-def _get_int(cfg: dict, key: str, default, lo: int = 1, hi: int | None = None):
-    if key not in cfg:
-        return default
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{key} must be an integer")
-    if v < lo or (hi is not None and v > hi):
-        _fail(f"{key} must lie in [{lo}, {hi if hi is not None else 'inf'}]")
-    return v
+def _is_int(v, lo: int = 1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
-def _get_real(obj: dict, key: str, *, lo: float = 0.0):
-    if key not in obj:
-        _fail(f"missing required field {key}")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{key} must be a number")
-    v = float(v)
-    if not (math.isfinite(v) and v >= lo):
-        _fail(f"{key} must be finite and >= {lo}")
-    return v
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _parse_model(cfg: dict, command: str):
-    obj = cfg.get("model")
+# knob checks: (predicate, what a valid value is)
+_COUNT = (_is_int, "an integer >= 1")
+_SEED = (lambda v: _is_int(v, 0), "an integer >= 0")
+_FIT_WINDOW = (lambda v: isinstance(v, list) and len(v) == 2
+               and all(map(_is_real, v)) and 0 < v[0] < v[1],
+               "[t_lo, t_hi] with 0 < t_lo < t_hi")
+_SCALES = (lambda v: isinstance(v, list) and len(v) >= 4 and all(map(_is_int, v)),
+           "a list of >= 4 positive integer box counts")
+_TOLERANCE = (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)")
+
+
+class _Command(NamedTuple):
+    """What a command accepts and which function runs it."""
+
+    hbar: str                 # NO_HBAR, ANY_HBAR or EXACT_HBAR
+    principal_only: bool      # only resonance (1, 1), which every khm model has
+    knobs: dict               # {knob: (check, default)}
+    run: Callable             # run(model, knobs, prefix) -> exit code
+
+
+def _parse_model(obj, command: str, spec: _Command) -> ModelSpec:
     if not isinstance(obj, dict):
         _fail("model must be a JSON object")
     unknown = sorted(set(obj) - _MODEL_KEYS)
     if unknown:
         _fail(f"unknown model keys: {unknown}")
-    kind = obj.get("kind")
-    if kind not in MODEL_KINDS:
-        _fail(f"model.kind must be one of {sorted(MODEL_KINDS)}")
-    k1 = _get_real(obj, "k1")
-    k2 = _get_real(obj, "k2")
+    for key in ("k1", "k2"):
+        if not _is_real(obj.get(key)):
+            _fail(f"model.{key} must be a number")
     resonance = obj.get("resonance")
     if resonance is not None:
-        ok = (isinstance(resonance, (list, tuple)) and len(resonance) == 2
-              and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                      for v in resonance))
-        if not ok:
+        if not (isinstance(resonance, list) and len(resonance) == 2
+                and all(map(_is_int, resonance))):
             _fail("model.resonance must be a pair of positive integers")
         resonance = (resonance[0], resonance[1])
-    if kind == DKRM_GENERAL and resonance is None:
-        _fail("model.resonance is required for the general-resonance model")
-    needs_hbar = command in ("evolve", "fractal")
-    if needs_hbar:
-        if "hbar" not in obj:
-            _fail(f"model.hbar is required for {command}")
-        try:
-            hbar = parse_effective_planck(obj["hbar"])
-        except ValueError as exc:
-            _fail(str(exc))
-    else:
-        if "hbar" in obj:
-            _fail(f"{command} chooses hbar itself; drop model.hbar "
-                  "(k1 and k2 are read as ratios k/hbar)")
-        hbar = None
-    return kind, k1, k2, hbar, resonance
+    hbar = obj.get("hbar")
+    if spec.hbar == NO_HBAR and "hbar" in obj:
+        _fail(f"{command} chooses hbar itself; drop model.hbar "
+              "(k1 and k2 are read as ratios k/hbar)")
+    if spec.hbar != NO_HBAR and not (isinstance(hbar, str) or _is_real(hbar)):
+        _fail(f"model.hbar is required for {command}, as a number or '2pi*num/den'")
+    try:
+        hbar = (_PLACEHOLDER_HBAR if spec.hbar == NO_HBAR
+                else parse_effective_planck(hbar))
+        model = ModelSpec(obj.get("kind"), float(obj["k1"]), float(obj["k2"]),
+                          hbar, resonance)
+    except ValueError as exc:
+        _fail(str(exc))
+    if spec.hbar == EXACT_HBAR and hbar.rational_part is None:
+        _fail(f"{command} needs model.hbar in the exact '2pi*num/den' form")
+    if spec.principal_only and model.resonance_order != (1, 1):
+        _fail(f"{command} is defined at the principal resonance (1, 1) only")
+    return model
+
+
+def _parse_knobs(cfg: dict, schema: dict) -> dict:
+    knobs = {}
+    for key, ((ok, what), default) in schema.items():
+        if key in cfg and not ok(cfg[key]):
+            _fail(f"{key} must be {what}")
+        knobs[key] = cfg.get(key, default)
+    return knobs
 
 
 def load_config(path: str) -> dict:
@@ -126,9 +137,9 @@ def load_config(path: str) -> dict:
 
 def _validate_top_level(cfg: dict) -> str:
     command = cfg.get("command")
-    if command not in _COMMAND_KNOBS:
-        _fail(f"command must be one of {sorted(_COMMAND_KNOBS)}")
-    allowed = _COMMON_KEYS | _COMMAND_KNOBS[command]
+    if command not in _COMMANDS:
+        _fail(f"command must be one of {sorted(_COMMANDS)}")
+    allowed = _COMMON_KEYS | set(_COMMANDS[command].knobs)
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         _fail(f"unknown config keys for {command}: {unknown}")
@@ -136,21 +147,6 @@ def _validate_top_level(cfg: dict) -> str:
     if not isinstance(prefix, str) or not prefix:
         _fail("output_prefix must be a non-empty string")
     return command
-
-
-def _resolve_workers(cfg: dict, flag_value: int | None) -> int:
-    if flag_value is not None:
-        v = flag_value
-    elif os.environ.get(WORKERS_ENV):
-        try:
-            v = int(os.environ[WORKERS_ENV])
-        except ValueError:
-            _fail(f"{WORKERS_ENV} must be an integer")
-    else:
-        v = _get_int(cfg, "workers", 1)
-    if v < 1:
-        _fail("workers must be >= 1")
-    return v
 
 
 # ── output helpers ─────────────────────────────────────────────────────────
@@ -241,53 +237,37 @@ def _spectrum_rows(spectrum):
 
 # ── commands ───────────────────────────────────────────────────────────────
 
-def run_butterfly(cfg: dict, workers: int) -> int:
-    kind, ratio1, ratio2, _, resonance = _parse_model(cfg, "butterfly")
-    s_max = _get_int(cfg, "s_max", 30)
-    theta_count = _get_int(cfg, "theta_count", 32)
-    window_cycles = _get_int(cfg, "window_cycles", None)
-    spectrum = butterfly_scan(kind, ratio1, ratio2, s_max, theta_count,
-                              window_cycles=window_cycles, resonance=resonance,
-                              workers=workers)
-    prefix = cfg["output_prefix"]
-    _prepare_prefix(prefix)
+def run_butterfly(model: ModelSpec, knobs: dict, prefix: str) -> int:
+    spectrum = butterfly_scan(model.kind, model.k1, model.k2, knobs["s_max"],
+                              knobs["theta_count"], window_cycles=knobs["window_cycles"],
+                              resonance=model.resonance, workers=knobs["workers"])
     csv_name = os.path.basename(prefix) + "_spectrum.csv"
     _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, _spectrum_rows(spectrum))
     _write_plot(prefix, _SPECTRUM_PLOT, csv_name)
     return 0
 
 
-def run_evolve(cfg: dict) -> int:
-    kind, k1, k2, hbar, resonance = _parse_model(cfg, "evolve")
-    n_steps = _get_int(cfg, "n_steps", 1000)
-    record_every = _get_int(cfg, "record_every", 1)
-    default_window = [100, n_steps] if n_steps > 100 else [n_steps / 2, n_steps]
-    window = cfg.get("fit_window", default_window)
-    ok = (isinstance(window, (list, tuple)) and len(window) == 2
-          and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                  for v in window) and 0 < window[0] < window[1])
-    if not ok:
-        _fail("fit_window must be [t_lo, t_hi] with 0 < t_lo < t_hi")
-    try:
-        model = ModelSpec(kind, k1, k2, hbar, resonance)
-    except ValueError as exc:
-        _fail(str(exc))
-    psi0 = Wavepacket.delta(l0=0, n_sites=256, hbar_eff=hbar)
+def run_evolve(model: ModelSpec, knobs: dict, prefix: str) -> int:
+    n_steps, record_every = knobs["n_steps"], knobs["record_every"]
+    window = knobs["fit_window"] or (
+        [100, n_steps] if n_steps > 100 else [n_steps / 2, n_steps])
+    recorded = (math.floor(min(window[1], n_steps) / record_every)
+                - math.ceil(window[0] / record_every) + 1)
+    if recorded < 10:
+        _fail(f"fit_window {window} holds {max(recorded, 0)} recorded steps; "
+              "the power-law fit needs >= 10")
+    psi0 = Wavepacket.delta(l0=0, n_sites=256, hbar_eff=model.hbar_eff)
     series = evolve(model, psi0, n_steps, record_every)
-    prefix = cfg["output_prefix"]
-    _prepare_prefix(prefix)
     rows = ((str(int(t)), _fmt(v), _fmt(m))
             for t, v, m in zip(series.steps, series.variance, series.leak))
     _write_csv(prefix + "_diffusion.csv", DIFFUSION_HEADER, rows)
-    try:
+    if series.variance.any():
         fit = fit_power_law(series, (window[0], window[1]))
-        alpha = fit.alpha
-        label = classify_transport(fit, series)
-    except ValueError:
-        # a run with no positive variance in the window (e.g. zero kicks)
-        # never left its initial site, so the bounded label applies
-        alpha = None
-        label = LOCALIZED
+        alpha, label = fit.alpha, classify_transport(fit, series)
+    else:
+        # a run with no positive variance (e.g. zero kicks) never left its
+        # initial site, so the bounded label applies
+        alpha, label = None, LOCALIZED
     _write_json(prefix + "_summary.json", {
         "alpha": alpha,
         "classification": label,
@@ -298,17 +278,10 @@ def run_evolve(cfg: dict) -> int:
     return 0
 
 
-def run_classical(cfg: dict) -> int:
-    kind, k1, k2, _, _ = _parse_model(cfg, "classical")
-    if kind == KHM:
-        map_kind = "khm"
-    elif kind == DKRM_RESONANT:
-        map_kind = "dkrm"
-    else:
-        _fail("the classical limit is implemented for khm and dkrm-resonant")
-    n_points = _get_int(cfg, "n_points", 100000)
-    n_steps = _get_int(cfg, "n_steps", 200)
-    seed = _get_int(cfg, "seed", 1234, lo=0)
+def run_classical(model: ModelSpec, knobs: dict, prefix: str) -> int:
+    k1, k2 = model.k1, model.k2
+    map_kind = "khm" if model.kind == KHM else "dkrm"
+    n_points, n_steps, seed = knobs["n_points"], knobs["n_steps"], knobs["seed"]
     rng = np.random.default_rng(seed)
     pts = PhasePoint(rng.uniform(0.0, TWO_PI, n_points),
                      rng.uniform(0.0, TWO_PI, n_points))
@@ -320,8 +293,6 @@ def run_classical(cfg: dict) -> int:
     start = PhasePoint(float(rng.uniform(0.0, TWO_PI)),
                        float(rng.uniform(0.0, TWO_PI)))
     traj = trajectory(map_kind, start, n_steps, k1, k2)
-    prefix = cfg["output_prefix"]
-    _prepare_prefix(prefix)
     rows = ((str(i), _fmt(pt.q), _fmt(pt.p)) for i, pt in enumerate(traj))
     _write_csv(prefix + "_trajectory.csv", "step,q,p", rows)
     _write_json(prefix + "_classical.json", {
@@ -335,26 +306,10 @@ def run_classical(cfg: dict) -> int:
     return 0
 
 
-def run_fractal(cfg: dict) -> int:
-    kind, k1, k2, hbar, resonance = _parse_model(cfg, "fractal")
-    if hbar.rational_part is None:
-        _fail("fractal needs model.hbar in the exact '2pi*num/den' form")
-    theta_count = _get_int(cfg, "theta_count", 64)
-    scales = cfg.get("scales", list(DEFAULT_BOX_SCALES))
-    ok = (isinstance(scales, (list, tuple)) and len(scales) >= 4
-          and all(isinstance(s, int) and not isinstance(s, bool) and s >= 1
-                  for s in scales))
-    if not ok:
-        _fail("scales must be a list of >= 4 positive integer box counts")
-    try:
-        model = ModelSpec(kind, k1, k2, hbar, resonance)
-    except ValueError as exc:
-        _fail(str(exc))
-    spectrum = model_spectrum(model, theta_count)
+def run_fractal(model: ModelSpec, knobs: dict, prefix: str) -> int:
+    spectrum = model_spectrum(model, knobs["theta_count"])
     energies = np.sort(np.concatenate([sl.energies for sl in spectrum.slices]))
-    box = box_counting_dimension(energies, scales)
-    prefix = cfg["output_prefix"]
-    _prepare_prefix(prefix)
+    box = box_counting_dimension(energies, knobs["scales"])
     _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, _spectrum_rows(spectrum))
     _write_json(prefix + "_fractal.json", {
         "d0": box.d0,
@@ -366,25 +321,16 @@ def run_fractal(cfg: dict) -> int:
     return 0
 
 
-def run_check_symmetries(cfg: dict) -> int:
-    kind, ratio1, ratio2, _, resonance = _parse_model(cfg, "check-symmetries")
-    if kind == DKRM_GENERAL:
-        _fail("symmetry claims are defined for khm and dkrm-resonant")
-    s_max = _get_int(cfg, "s_max", 20)
-    theta_count = _get_int(cfg, "theta_count", 16)
-    n_rationals = _get_int(cfg, "n_rationals", 10)
-    tol = cfg.get("tolerance", 1e-8)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < 1:
-        _fail("tolerance must be a number in (0, 1)")
-    interior = [r for r in farey_sequence(s_max) if r.num < r.den]
+def run_check_symmetries(model: ModelSpec, knobs: dict, prefix: str) -> int:
+    interior = [r for r in farey_sequence(knobs["s_max"]) if r.num < r.den]
+    n_rationals = knobs["n_rationals"]
     if n_rationals < len(interior):
         idx = np.unique(np.round(
             np.linspace(0, len(interior) - 1, n_rationals)).astype(int))
         interior = [interior[i] for i in idx]
-    reports = check_symmetry_claims(kind, ratio1, ratio2, interior,
-                                    theta_count, float(tol), resonance)
-    prefix = cfg["output_prefix"]
-    _prepare_prefix(prefix)
+    reports = check_symmetry_claims(model.kind, model.k1, model.k2, interior,
+                                    knobs["theta_count"], float(knobs["tolerance"]),
+                                    model.resonance)
     payload = {
         "claims": [{"name": r.name, "hbar": f"2pi*{r.hbar_label}",
                     "distance": r.distance, "tolerance": r.tolerance,
@@ -395,6 +341,26 @@ def run_check_symmetries(cfg: dict) -> int:
     return 0 if payload["all_passed"] else 1
 
 
+_COMMANDS = {
+    "butterfly": _Command(NO_HBAR, False, {
+        "s_max": (_COUNT, 30), "theta_count": (_COUNT, 32),
+        "window_cycles": (_COUNT, None)}, run_butterfly),
+    "evolve": _Command(ANY_HBAR, False, {
+        "n_steps": (_COUNT, 1000), "record_every": (_COUNT, 1),
+        "fit_window": (_FIT_WINDOW, None)}, run_evolve),
+    "classical": _Command(NO_HBAR, True, {
+        "n_points": (_COUNT, 100000), "n_steps": (_COUNT, 200),
+        "seed": (_SEED, 1234)}, run_classical),
+    "fractal": _Command(EXACT_HBAR, False, {
+        "theta_count": (_COUNT, 64), "scales": (_SCALES, DEFAULT_BOX_SCALES)},
+        run_fractal),
+    "check-symmetries": _Command(NO_HBAR, True, {
+        "s_max": (_COUNT, 20), "theta_count": (_COUNT, 16),
+        "tolerance": (_TOLERANCE, 1e-8), "n_rationals": (_COUNT, 10)},
+        run_check_symmetries),
+}
+
+
 # ── entry point ────────────────────────────────────────────────────────────
 
 def _parse_args(argv):
@@ -403,7 +369,7 @@ def _parse_args(argv):
         description="Quasienergy butterflies and kicked-rotor transport runs "
                     "driven by a JSON configuration.")
     ap.add_argument("config", help="path to the JSON run configuration")
-    ap.add_argument("--command", choices=sorted(_COMMAND_KNOBS))
+    ap.add_argument("--command", choices=sorted(_COMMANDS))
     ap.add_argument("--output-prefix")
     ap.add_argument("--workers", type=int)
     ap.add_argument("--s-max", type=int, dest="s_max")
@@ -417,23 +383,22 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         cfg = load_config(args.config)
-        for key in ("command", "output_prefix", "s_max", "theta_count",
+        if os.environ.get(WORKERS_ENV):
+            try:
+                cfg["workers"] = int(os.environ[WORKERS_ENV])
+            except ValueError:
+                _fail(f"{WORKERS_ENV} must be an integer")
+        for key in ("command", "output_prefix", "workers", "s_max", "theta_count",
                     "n_steps", "record_every"):
-            value = getattr(args, key.replace("-", "_"))
-            if value is not None:
-                cfg[key] = value
+            if getattr(args, key) is not None:
+                cfg[key] = getattr(args, key)
         command = _validate_top_level(cfg)
-        workers = _resolve_workers(cfg, args.workers)
-        cfg.pop("workers", None)
-        if command == "butterfly":
-            return run_butterfly(cfg, workers)
-        if command == "evolve":
-            return run_evolve(cfg)
-        if command == "classical":
-            return run_classical(cfg)
-        if command == "fractal":
-            return run_fractal(cfg)
-        return run_check_symmetries(cfg)
+        spec = _COMMANDS[command]
+        model = _parse_model(cfg.get("model"), command, spec)
+        knobs = _parse_knobs(cfg, {"workers": (_COUNT, 1), **spec.knobs})
+        prefix = cfg["output_prefix"]
+        _prepare_prefix(prefix)
+        return spec.run(model, knobs, prefix)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import LatticeOverflowError, NumericalError, ResourceLimitError
-from .lattice import (DKRM_RESONANT, KHM, TWO_PI, EffPlanck,
-                      ModelSpec, Wavepacket, edge_mass, momentum_variance)
+from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Wavepacket, edge_mass,
+                      momentum_variance)
 
 DEFAULT_LEAK_THRESHOLD = 1e-10
 DEFAULT_MAX_SITES = 2 ** 22
@@ -128,26 +128,25 @@ class HarperPhase:
 
 
 def floquet_factors(model: ModelSpec) -> tuple:
-    """One period of the model as factors in application order (first acts first)."""
+    """One period of the model as factors in application order (first acts first).
+
+    Both double-kick kinds close with the drift of resonance (nu, mu); its phase
+    e^{-i pi (2 nu/mu) l^2} only depends on 2 nu/mu mod 2, as e^{-i pi 2 l^2} = 1.
+    """
     hb = model.hbar_eff.value
     rp = model.hbar_eff.rational_part
     cyc = Fraction(rp.num, rp.den) if rp is not None else None
     if model.kind == KHM:
         return (KickFactor(model.k1 / hb),
                 HarperPhase(model.k2 / hb, model.hbar_eff))
-    first_drift = QuadraticPhase(hb, cyc)
-    if model.kind == DKRM_RESONANT:
-        closing = (QuadraticPhase(-hb, None if cyc is None else -cyc),)
+    nu, mu = model.resonance_order
+    res = Fraction(2 * nu, mu) % 2
+    res_coeff = TWO_PI * res.numerator / res.denominator
+    if cyc is not None:
+        closing = (QuadraticPhase(res_coeff - hb, res - cyc),)
     else:
-        nu, mu = model.resonance
-        res = Fraction(2 * nu, mu)
-        res_coeff = TWO_PI * res.numerator / res.denominator
-        if cyc is not None:
-            closing = (QuadraticPhase(res_coeff - hb, res - cyc),)
-        else:
-            closing = (QuadraticPhase(res_coeff, res),
-                       QuadraticPhase(-hb, None))
-    return (KickFactor(model.k1 / hb), first_drift,
+        closing = (QuadraticPhase(res_coeff, res), QuadraticPhase(-hb, None))
+    return (KickFactor(model.k1 / hb), QuadraticPhase(hb, cyc),
             KickFactor(model.k2 / hb)) + closing
 
 
@@ -187,10 +186,15 @@ def apply_quadratic_phase(psi: Wavepacket, tau: float,
 
 @lru_cache(maxsize=4)
 def _kernel_tables(model: ModelSpec, l_min: int, n: int, theta: float) -> tuple:
+    """(op, table) pairs of one period; adjacent diagonal factors share one table."""
     ops = []
     for f in floquet_factors(model):
         if isinstance(f, KickFactor):
             ops.append(("kick", _kick_table(f.strength, n, theta)))
+        elif ops and ops[-1][0] == "diag":
+            table = ops[-1][1] * _diagonal_table(f, l_min, n)
+            table.flags.writeable = False
+            ops[-1] = ("diag", table)
         else:
             ops.append(("diag", _diagonal_table(f, l_min, n)))
     return tuple(ops)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .lattice import (DKRM_RESONANT, KHM, TWO_PI, EffPlanck, ModelSpec,
-                      Rational, farey_sequence)
+from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Rational,
+                      farey_sequence)
 from .quantum import KickFactor, _apply_period, floquet_factors
 
 UNITARITY_TOL = 1e-8
@@ -38,13 +38,10 @@ def lattice_period(model: ModelSpec) -> int:
     rp = model.hbar_eff.rational_part
     if rp is None:
         raise ConfigError("spectral reduction needs hbar_eff tagged as 2*pi*num/den")
-    s = rp.den
     if model.kind == KHM:
-        candidates = (s,)
-    elif model.kind == DKRM_RESONANT:
-        candidates = (s, 2 * s)
+        candidates = (rp.den,)
     else:
-        base = math.lcm(s, model.resonance_order[1])
+        base = math.lcm(rp.den, model.resonance_order[1])
         candidates = (base, 2 * base, 4 * base)
     diags = [f for f in floquet_factors(model) if not isinstance(f, KickFactor)]
     for period in candidates:

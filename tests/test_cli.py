@@ -241,6 +241,19 @@ def test_config_validation_failures_exit_two(tmp_path):
         {**butterfly_config(tmp_path),
          "model": {"kind": "khm", "k1": -1.0, "k2": 1.0}},
         {**butterfly_config(tmp_path), "theta_count": 0},
+        {**butterfly_config(tmp_path),                          # not coprime
+         "model": {"kind": "dkrm-general", "k1": 1.0, "k2": 1.0,
+                   "resonance": [2, 4]}},
+        {**butterfly_config(tmp_path),
+         "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0,
+                   "resonance": [1, 2]}},
+        {"command": "classical", "output_prefix": str(tmp_path / "x"),
+         "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "resonance": [1, 2]}},
+        {"command": "evolve", "output_prefix": str(tmp_path / "x"),  # 3 records
+         "model": {"kind": "dkrm-resonant", "k1": 4.0, "k2": 0.4, "hbar": 1.0},
+         "n_steps": 2000, "record_every": 250},
+        {"command": "evolve", "output_prefix": str(tmp_path / "x"),
+         "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0, "hbar": [1]}},
     ]
     for i, cfg in enumerate(bad):
         assert main([write_config(tmp_path, f"bad{i}.json", cfg)]) == 2, cfg

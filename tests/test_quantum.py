@@ -26,6 +26,7 @@ from kickedharper import (
     evolve,
     floquet_factors,
     kick_coefficients,
+    lattice_period,
     momentum_variance,
     parse_effective_planck,
 )
@@ -206,6 +207,18 @@ def test_general_principal_resonance_matches_resonant_model():
         if not isinstance(f, KickFactor):
             prod_gen = prod_gen * f.values(l)
     assert np.max(np.abs(prod_res - prod_gen)) < 1e-12
+
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=256) + 1j * rng.normal(size=256)
+    amps /= np.linalg.norm(amps)
+    for hbar in (hb, EffPlanck(1.3)):
+        psi = Wavepacket(-128, 127, amps, hbar)
+        out_res = apply_floquet(ModelSpec(DKRM_RESONANT, 1.4, 0.9, hbar), psi,
+                                leak_threshold=1.1)
+        out_gen = apply_floquet(ModelSpec(DKRM_GENERAL, 1.4, 0.9, hbar, (1, 1)),
+                                psi, leak_threshold=1.1)
+        assert np.array_equal(out_res.amps, out_gen.amps)
+    assert lattice_period(res) == lattice_period(gen)
 
 
 def test_half_order_resonance_with_zero_kicks_alternates_sign():

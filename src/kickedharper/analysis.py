@@ -16,6 +16,7 @@ BALLISTIC = "ballistic"
 TRANSPORT_LABELS = (LOCALIZED, SUBDIFFUSIVE, DIFFUSIVE, BALLISTIC)
 
 DEFAULT_BOX_SCALES = tuple(2 ** k for k in range(4, 13))
+MIN_BOX_POINTS = 100
 
 
 # ── power-law transport ────────────────────────────────────────────────────
@@ -102,8 +103,8 @@ def box_counting_dimension(points, scales=DEFAULT_BOX_SCALES) -> BoxCountResult:
     uniform (slope 1) and single-point (slope 0) limits exact.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 1 or pts.size < 100:
-        raise ValueError("need a flat array of >= 100 points")
+    if pts.ndim != 1 or pts.size < MIN_BOX_POINTS:
+        raise ValueError(f"need a flat array of >= {MIN_BOX_POINTS} points")
     if len(scales) < 4:
         raise ValueError("need >= 4 scales")
     if any(int(s) < 1 for s in scales):

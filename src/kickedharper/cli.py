@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import (DEFAULT_BOX_SCALES, LOCALIZED, box_counting_dimension,
-                       classify_transport, fit_power_law)
+from .analysis import (DEFAULT_BOX_SCALES, LOCALIZED, MIN_BOX_POINTS,
+                       box_counting_dimension, classify_transport, fit_power_law)
 from .classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
                         equivalence_residual, trajectory)
 from .errors import (ConfigError, LatticeOverflowError, NumericalError,
@@ -28,7 +28,8 @@ from .errors import (ConfigError, LatticeOverflowError, NumericalError,
 from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Wavepacket,
                       farey_sequence, parse_effective_planck)
 from .quantum import evolve
-from .spectrum import (butterfly_scan, check_symmetry_claims, model_spectrum)
+from .spectrum import (butterfly_scan, check_symmetry_claims, lattice_period,
+                       model_spectrum)
 
 WORKERS_ENV = "KICKEDHARPER_WORKERS"
 
@@ -307,6 +308,10 @@ def run_classical(model: ModelSpec, knobs: dict, prefix: str) -> int:
 
 
 def run_fractal(model: ModelSpec, knobs: dict, prefix: str) -> int:
+    n_points = lattice_period(model) * knobs["theta_count"]
+    if n_points < MIN_BOX_POINTS:
+        _fail(f"the spectrum holds {n_points} points (lattice period x theta_count); "
+              f"box counting needs >= {MIN_BOX_POINTS}")
     spectrum = model_spectrum(model, knobs["theta_count"])
     energies = np.sort(np.concatenate([sl.energies for sl in spectrum.slices]))
     box = box_counting_dimension(energies, knobs["scales"])

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError, NumericalError
 from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Rational,
@@ -23,6 +24,10 @@ from .quantum import KickFactor, _apply_period, floquet_factors
 
 UNITARITY_TOL = 1e-8
 EIGENMOD_TOL = 1e-6
+CAYLEY_POLE = 1.0       # first pole phase; not a rational multiple of pi
+CAYLEY_CLEARANCE = 0.1  # re-solve when an eigenphase lies nearer the pole
+MOMENT_TOL = 1e-10      # per site, on the tr U and tr U^2 checks
+DEFECT_PANEL_ROWS = 64  # rows of U^dagger U formed at a time, to bound memory
 
 
 # ── lattice periodicity ────────────────────────────────────────────────────
@@ -80,20 +85,92 @@ def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> BlochMatr
     period = lattice_period(model)
     u = _apply_period(model, np.eye(period, dtype=np.complex128), 0, float(theta)).T
     gauge = np.exp(1j * theta * np.arange(period) / period)
-    u = gauge.conj()[:, None] * u * gauge
-    err = np.max(np.abs(u.conj().T @ u - np.eye(period)))
+    u *= gauge.conj()[:, None]
+    u *= gauge
+    err = 0.0
+    for start in range(0, period, DEFECT_PANEL_ROWS):
+        defect = u[:, start:start + DEFECT_PANEL_ROWS].conj().T @ u
+        defect.flat[start::period + 1] -= 1.0
+        err = max(err, np.max(np.abs(defect)))
     if err > UNITARITY_TOL:
         raise NumericalError(f"Bloch block unitarity defect {err:.3e}")
     return BlochMatrix(period, float(theta), u)
 
 
 def quasienergies(bloch: BlochMatrix) -> np.ndarray:
-    """Sorted eigenphases of the block, as epsilon in (-pi, pi]."""
-    lam = np.linalg.eigvals(bloch.matrix)
+    """Sorted eigenphases of the block, as epsilon in (-pi, pi].
+
+    The unitary block is solved as a Hermitian problem through a Cayley
+    transform about a pole phase (see _cayley_phases).  When an eigenphase
+    lies within CAYLEY_CLEARANCE of the first pole, the block is solved once
+    more with the pole in the middle of the widest spectral gap.  A solve
+    that fails, or whose eigenphases do not reproduce tr U and tr U^2, falls
+    back to the dense non-symmetric eigen-solve.
+    """
+    u = np.asarray(bloch.matrix)
+    try:
+        eps, clearance = _cayley_phases(u, CAYLEY_POLE)
+        if clearance < CAYLEY_CLEARANCE:
+            eps, _ = _cayley_phases(u, _widest_gap_middle(eps))
+    except (np.linalg.LinAlgError, FloatingPointError):
+        return _eigvals_phases(u)
+    if _moments_match(u, eps):
+        return eps
+    return _eigvals_phases(u)
+
+
+def _cayley_phases(u: np.ndarray, pole: float) -> tuple:
+    """(sorted eigenphases, distance of the nearest one to pole) of unitary u.
+
+    V = e^{i(pole + pi)} U maps the eigenphase `pole` to -1, and
+    H = i(V - I)(V + I)^{-1} = i(I - 2 (V + I)^{-1}) is Hermitian with
+    eigenvalues w = -tan(phi/2) for each eigenvalue e^{i phi} of V, so
+    epsilon = pole + pi + 2 arctan(w).  Rounding in H grows like the inverse
+    of that distance, which is why the caller re-solves when it is small.
+    """
+    period = u.shape[0]
+    h = u * np.exp(1j * (pole + np.pi))
+    h.flat[::period + 1] += 1.0
+    # np.linalg.inv's gufunc, writing over its input: np.linalg.inv would keep
+    # a separate result alive beside U, V + I and LAPACK's copy, which sets
+    # the peak memory of the large blocks; a singular V + I raises
+    # FloatingPointError here
+    with np.errstate(invalid="raise", over="ignore", divide="ignore"):
+        _umath_linalg.inv(h, signature="D->D", out=h)
+    h *= -2j
+    h.flat[::period + 1] += 1j
+    w = np.linalg.eigvalsh(h)
+    clearance = np.pi - 2.0 * np.arctan(np.max(np.abs(w)))
+    eps = np.mod(pole + TWO_PI + 2.0 * np.arctan(w), TWO_PI) - np.pi
+    return _sorted_half_open(eps), clearance
+
+
+def _widest_gap_middle(eps: np.ndarray) -> float:
+    """Middle of the widest gap between cyclically adjacent sorted phases."""
+    ring = np.append(eps, eps[0] + TWO_PI)
+    k = int(np.argmax(np.diff(ring)))
+    return 0.5 * (ring[k] + ring[k + 1])
+
+
+def _moments_match(u: np.ndarray, eps: np.ndarray) -> bool:
+    """Do sum e^{-i eps} and sum e^{-2i eps} reproduce tr U and tr U^2?"""
+    lam = np.exp(-1j * eps)
+    tol = MOMENT_TOL * u.shape[0]
+    return bool(abs(lam.sum() - np.trace(u)) <= tol
+                and abs((lam * lam).sum() - np.einsum("ij,ji->", u, u)) <= tol)
+
+
+def _eigvals_phases(u: np.ndarray) -> np.ndarray:
+    """Eigenphases from the dense non-symmetric eigen-solve."""
+    lam = np.linalg.eigvals(u)
     drift = np.max(np.abs(np.abs(lam) - 1.0))
     if drift > EIGENMOD_TOL:
         raise NumericalError(f"eigenvalue modulus drift {drift:.3e}")
-    eps = -np.angle(lam)
+    return _sorted_half_open(-np.angle(lam))
+
+
+def _sorted_half_open(eps: np.ndarray) -> np.ndarray:
+    """Phases in [-pi, pi] moved into (-pi, pi] and sorted in place."""
     eps[eps <= -np.pi] += TWO_PI
     eps.sort()
     return eps

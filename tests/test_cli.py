@@ -157,6 +157,15 @@ def test_classical_rejects_the_general_resonance_model(tmp_path):
     assert main([write_config(tmp_path, "c.json", cfg)]) == 2
 
 
+def run_python(args):
+    """Run a fresh interpreter with this checkout's package importable."""
+    src = str(Path(kickedharper.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_module_entry_point_runs_the_config(tmp_path):
     cfg = {
         "command": "classical",
@@ -165,13 +174,9 @@ def test_module_entry_point_runs_the_config(tmp_path):
         "n_points": 100,
         "n_steps": 5,
     }
-    src = str(Path(kickedharper.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def run(config_path):
-        return subprocess.run([sys.executable, "-m", "kickedharper.cli", config_path],
-                              env=env, capture_output=True, timeout=120).returncode
+        return run_python(["-m", "kickedharper.cli", config_path]).returncode
 
     assert run(write_config(tmp_path, "c.json", cfg)) == 0
     assert (tmp_path / "cl_trajectory.csv").is_file()
@@ -195,6 +200,25 @@ def test_fractal_writes_spectrum_and_dimension(tmp_path):
     assert len(report["scales"]) == len(report["counts"])
     lines = (tmp_path / "fr_spectrum.csv").read_text().splitlines()
     assert len(lines) == 1 + 13 * 8
+
+
+def test_fractal_run_leaves_scipy_linalg_unloaded(tmp_path):
+    # the eigen-solve uses numpy.linalg only; importing scipy.linalg costs
+    # set-up time and resident memory on every run
+    cfg = {
+        "command": "fractal",
+        "output_prefix": str(tmp_path / "fr"),
+        "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0, "hbar": "2pi*2/7"},
+        "theta_count": 16,
+    }
+    config = write_config(tmp_path, "c.json", cfg)
+    code = ("import sys\n"
+            "import kickedharper.cli\n"
+            f"assert kickedharper.cli.main([{config!r}]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_fractal_requires_an_exact_rational_hbar(tmp_path):
@@ -254,6 +278,9 @@ def test_config_validation_failures_exit_two(tmp_path):
          "n_steps": 2000, "record_every": 250},
         {"command": "evolve", "output_prefix": str(tmp_path / "x"),
          "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0, "hbar": [1]}},
+        {"command": "fractal", "output_prefix": str(tmp_path / "x"),  # 6 points
+         "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": "2pi*1/3"},
+         "theta_count": 2},
     ]
     for i, cfg in enumerate(bad):
         assert main([write_config(tmp_path, f"bad{i}.json", cfg)]) == 2, cfg

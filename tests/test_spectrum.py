@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kickedharper import spectrum
 from kickedharper import (
     DKRM_GENERAL,
     DKRM_RESONANT,
@@ -72,6 +73,14 @@ def test_theta_grid_is_uniform_and_closed_under_negation():
     assert list(theta_grid(1)) == [0.0]
 
 
+def eigvals_phases(u):
+    """Oracle: sorted eigenphases from the dense non-symmetric eigen-solve."""
+    eps = -np.angle(np.linalg.eigvals(u))
+    eps[eps <= -np.pi] += TWO_PI
+    eps.sort()
+    return eps
+
+
 # ── Bloch blocks against a dense ring ──────────────────────────────────────
 
 def ring_eigenphases(model, n_sites):
@@ -83,10 +92,7 @@ def ring_eigenphases(model, n_sites):
         cols.append(apply_floquet(model, psi, leak_threshold=math.inf).amps)
     u = np.stack(cols, axis=1)
     assert np.max(np.abs(u.conj().T @ u - np.eye(n_sites))) < 1e-10
-    eps = -np.angle(np.linalg.eigvals(u))
-    eps[eps <= -np.pi] += TWO_PI
-    eps.sort()
-    return eps
+    return eigvals_phases(u)
 
 
 def bloch_union(model, sector_count):
@@ -124,6 +130,89 @@ def test_quasienergies_wrap_into_the_half_open_interval():
     assert eps[0] == pytest.approx(np.pi)
     with pytest.raises(NumericalError):
         quasienergies(BlochMatrix(1, 0.0, np.array([[0.5 + 0j]])))
+
+
+# ── Cayley eigen-solve against the dense eigvals oracle ────────────────────
+
+def assert_matches_oracle(bloch):
+    before = bloch.matrix.copy()
+    eps = quasienergies(bloch)
+    assert np.array_equal(bloch.matrix, before)         # input left untouched
+    assert eps.shape == (bloch.period,)
+    assert np.all(np.diff(eps) >= 0)
+    assert np.all((eps > -np.pi) & (eps <= np.pi))
+    assert spectrum_set_distance(eps, eigvals_phases(bloch.matrix)) <= 1e-12
+
+
+SOLVER_THETAS = (0.0, math.pi / 2, math.pi, 4.4)
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Fail the test if a block leaves the Cayley path for eigvals."""
+    def fail(u):
+        raise AssertionError(f"{u.shape} block fell back to eigvals")
+    monkeypatch.setattr(spectrum, "_eigvals_phases", fail)
+
+
+@pytest.mark.parametrize("kind,resonance", [
+    (KHM, None), (DKRM_RESONANT, None), (DKRM_GENERAL, (1, 2))])
+@pytest.mark.parametrize("ratios", [(1.0, 0.5), (0.0, 0.0)],
+                         ids=["kicked", "zero-kick"])  # zero kick: degenerate spectra
+def test_cayley_solve_matches_eigvals_over_a_scan(kind, resonance, ratios, no_fallback):
+    periods = set()
+    for r in scan_rationals(kind, 11):
+        model = model_from_ratios(kind, *ratios, r.num, r.den, resonance)
+        for theta in SOLVER_THETAS:
+            bloch = build_bloch_matrix(model, theta)
+            periods.add(bloch.period)
+            assert_matches_oracle(bloch)
+    if kind == KHM:
+        assert 1 in periods                                 # the 1/1 blocks
+
+
+@pytest.mark.parametrize("kind,period", [(KHM, 233), (DKRM_RESONANT, 466)])
+def test_cayley_solve_matches_eigvals_at_the_fibonacci_rational(kind, period,
+                                                              no_fallback):
+    model = ModelSpec(kind, 1.0, 1.0, parse_effective_planck("2pi*89/233"))
+    for theta in (0.0, 4.4):
+        bloch = build_bloch_matrix(model, theta)
+        assert bloch.period == period
+        assert_matches_oracle(bloch)
+
+
+def test_eigenphase_at_the_first_pole_forces_one_re_solve(monkeypatch, no_fallback):
+    poles = []
+    solve = spectrum._cayley_phases
+
+    def spy(u, pole):
+        poles.append(pole)
+        return solve(u, pole)
+
+    monkeypatch.setattr(spectrum, "_cayley_phases", spy)
+    eps = np.array([-2.5, 0.3, spectrum.CAYLEY_POLE, 2.9])
+    bloch = BlochMatrix(4, 0.0, np.diag(np.exp(-1j * eps)))
+    assert_matches_oracle(bloch)
+    assert len(poles) == 2 and poles[0] == spectrum.CAYLEY_POLE
+    assert abs(poles[1] - (-2.5 + 0.3) / 2) < 1e-12      # the widest gap
+
+
+def test_failed_moment_check_falls_back_to_eigvals(monkeypatch):
+    fallbacks = []
+    dense = spectrum._eigvals_phases
+
+    def spy(u):
+        fallbacks.append(u.shape)
+        return dense(u)
+
+    monkeypatch.setattr(spectrum, "_eigvals_phases", spy)
+    # eigenvalues 1 and -1 lie on the unit circle, but the block is not
+    # normal, so its Cayley transform is not Hermitian
+    bloch = BlochMatrix(2, 0.0, np.array([[1.0, 0.0], [5.0, -1.0]], dtype=complex))
+    eps, _ = spectrum._cayley_phases(bloch.matrix, spectrum.CAYLEY_POLE)
+    assert not spectrum._moments_match(bloch.matrix, eps)
+    assert np.allclose(quasienergies(bloch), [0.0, np.pi], atol=1e-12)
+    assert fallbacks == [(2, 2)]
 
 
 def band_sum_kick_block(coeffs, period, theta):

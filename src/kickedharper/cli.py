@@ -23,8 +23,7 @@ from .analysis import (DEFAULT_BOX_SCALES, LOCALIZED, MIN_BOX_POINTS,
                        box_counting_dimension, classify_transport, fit_power_law)
 from .classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
                         equivalence_residual, trajectory)
-from .errors import (ConfigError, LatticeOverflowError, NumericalError,
-                     ResourceLimitError)
+from .errors import ConfigError, NumericalError, ResourceLimitError
 from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Wavepacket,
                       farey_sequence, parse_effective_planck)
 from .quantum import evolve
@@ -156,23 +155,23 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _open_output(path: str, newline: str | None = None):
+    """Open an output file for writing, creating its directory on first use."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", newline=newline)
+
+
 def _write_csv(path: str, header: str, rows):
-    with open(path, "w", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
 
 
 def _write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def _prepare_prefix(prefix: str):
-    parent = os.path.dirname(prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
 
 
 _SPECTRUM_PLOT = '''#!/usr/bin/env python3
@@ -227,7 +226,7 @@ DIFFUSION_HEADER = "step,variance,edge_mass"
 
 
 def _write_plot(prefix: str, template: str, csv_name: str):
-    with open(prefix + "_plot.py", "w") as fh:
+    with _open_output(prefix + "_plot.py") as fh:
         fh.write(template.replace("@CSV@", csv_name))
 
 
@@ -401,16 +400,14 @@ def main(argv=None) -> int:
         spec = _COMMANDS[command]
         model = _parse_model(cfg.get("model"), command, spec)
         knobs = _parse_knobs(cfg, {"workers": (_COUNT, 1), **spec.knobs})
-        prefix = cfg["output_prefix"]
-        _prepare_prefix(prefix)
-        return spec.run(model, knobs, prefix)
+        return spec.run(model, knobs, cfg["output_prefix"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, LatticeOverflowError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -221,17 +221,15 @@ def trigger_margin(model: ModelSpec, n_sites: int) -> int:
 
 
 def apply_floquet(model: ModelSpec, psi: Wavepacket, *,
-                  leak_threshold: float = DEFAULT_LEAK_THRESHOLD,
-                  margin: int | None = None) -> Wavepacket:
+                  leak_threshold: float = DEFAULT_LEAK_THRESHOLD) -> Wavepacket:
     """Apply one full period of the model's Floquet operator.
 
     Raises LatticeOverflowError when the resulting state carries more than
-    leak_threshold probability within `margin` sites of the lattice edge;
-    the caller is expected to grow the lattice and retry.
+    leak_threshold probability within trigger_margin sites of the lattice
+    edge; the caller is expected to grow the lattice and retry.
     """
     out = psi.with_amps(_apply_period(model, psi.amps, psi.l_min))
-    m = trigger_margin(model, psi.n_sites) if margin is None else margin
-    if edge_mass(out, m) > leak_threshold:
+    if edge_mass(out, trigger_margin(model, psi.n_sites)) > leak_threshold:
         raise LatticeOverflowError(
             f"edge mass beyond {leak_threshold:g} on a {psi.n_sites}-site lattice")
     return out
@@ -267,8 +265,9 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int,
            max_sites: int = DEFAULT_MAX_SITES) -> DiffusionSeries:
     """Iterate the Floquet map, growing the lattice whenever mass nears an edge.
 
-    Growth is symmetric doubling with zero padding, and the step that tripped
-    the edge sentinel is retried on the larger lattice.  Records are taken at
+    Growth is symmetric doubling with zero padding, and the step whose edge
+    mass (within trigger_margin sites, fixed per lattice size) exceeds
+    leak_threshold is retried on the larger lattice.  Records are taken at
     step 0 and every record_every periods.
     """
     if n_steps < 1:
@@ -277,24 +276,24 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int,
         raise ValueError("record_every must be >= 1")
     psi = psi0
     l0 = int(psi.l_min + np.argmax(np.abs(psi.amps)))
+    margin = trigger_margin(model, psi.n_sites)
     steps = [0]
     variance = [momentum_variance(psi, l0)]
-    leak = [edge_mass(psi, trigger_margin(model, psi.n_sites))]
+    leak = [edge_mass(psi, margin)]
     for t in range(1, n_steps + 1):
-        while True:
-            try:
-                nxt = apply_floquet(model, psi, leak_threshold=leak_threshold)
-                break
-            except LatticeOverflowError:
-                if 2 * psi.n_sites > max_sites:
-                    raise ResourceLimitError(
-                        f"lattice would exceed {max_sites} sites at step {t}") from None
-                psi = psi.doubled()
+        nxt = psi.with_amps(_apply_period(model, psi.amps, psi.l_min))
+        while (mass := edge_mass(nxt, margin)) > leak_threshold:
+            if 2 * psi.n_sites > max_sites:
+                raise ResourceLimitError(
+                    f"lattice would exceed {max_sites} sites at step {t}")
+            psi = psi.doubled()
+            margin = trigger_margin(model, psi.n_sites)
+            nxt = psi.with_amps(_apply_period(model, psi.amps, psi.l_min))
         psi = nxt
         if t % record_every == 0:
             steps.append(t)
             variance.append(momentum_variance(psi, l0))
-            leak.append(edge_mass(psi, trigger_margin(model, psi.n_sites)))
+            leak.append(mass)
     final_norm = psi.norm()
     if abs(final_norm - 1.0) > 1e-8:
         raise NumericalError(f"norm drifted to {final_norm:.12f} after {n_steps} steps")

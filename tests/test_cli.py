@@ -253,37 +253,39 @@ def test_check_symmetries_passes_on_the_harper_model(tmp_path):
 # ── failure modes ──────────────────────────────────────────────────────────
 
 def test_config_validation_failures_exit_two(tmp_path):
+    new = tmp_path / "new"   # a rejected run must not create its output directory
     bad = [
         {},                                                     # no command
         {"command": "nope", "output_prefix": "x", "model": {}},
-        butterfly_config(tmp_path, bogus_key=1),
-        {**butterfly_config(tmp_path), "output_prefix": ""},
-        {"command": "evolve", "output_prefix": str(tmp_path / "x"),
+        butterfly_config(new, bogus_key=1),
+        {**butterfly_config(new), "output_prefix": ""},
+        {"command": "evolve", "output_prefix": str(new / "x"),
          "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0}},  # no hbar
-        {**butterfly_config(tmp_path),
+        {**butterfly_config(new),
          "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": 1.0}},
-        {**butterfly_config(tmp_path),
+        {**butterfly_config(new),
          "model": {"kind": "khm", "k1": -1.0, "k2": 1.0}},
-        {**butterfly_config(tmp_path), "theta_count": 0},
-        {**butterfly_config(tmp_path),                          # not coprime
+        {**butterfly_config(new), "theta_count": 0},
+        {**butterfly_config(new),                               # not coprime
          "model": {"kind": "dkrm-general", "k1": 1.0, "k2": 1.0,
                    "resonance": [2, 4]}},
-        {**butterfly_config(tmp_path),
+        {**butterfly_config(new),
          "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0,
                    "resonance": [1, 2]}},
-        {"command": "classical", "output_prefix": str(tmp_path / "x"),
+        {"command": "classical", "output_prefix": str(new / "x"),
          "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "resonance": [1, 2]}},
-        {"command": "evolve", "output_prefix": str(tmp_path / "x"),  # 3 records
+        {"command": "evolve", "output_prefix": str(new / "x"),  # 3 records
          "model": {"kind": "dkrm-resonant", "k1": 4.0, "k2": 0.4, "hbar": 1.0},
          "n_steps": 2000, "record_every": 250},
-        {"command": "evolve", "output_prefix": str(tmp_path / "x"),
+        {"command": "evolve", "output_prefix": str(new / "x"),
          "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0, "hbar": [1]}},
-        {"command": "fractal", "output_prefix": str(tmp_path / "x"),  # 6 points
+        {"command": "fractal", "output_prefix": str(new / "x"),  # 6 points
          "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": "2pi*1/3"},
          "theta_count": 2},
     ]
     for i, cfg in enumerate(bad):
         assert main([write_config(tmp_path, f"bad{i}.json", cfg)]) == 2, cfg
+    assert not new.exists()
 
 
 def test_unreadable_or_malformed_config_exits_two(tmp_path):
@@ -303,6 +305,6 @@ def test_unwritable_output_prefix_exits_one(tmp_path):
         "command": "evolve",
         "output_prefix": str(blocker / "out"),
         "model": {"kind": "dkrm-resonant", "k1": 0.5, "k2": 0.5, "hbar": 1.0},
-        "n_steps": 2,
+        "n_steps": 20,   # a valid run: the exit code comes from the write alone
     }
     assert main([write_config(tmp_path, "c.json", cfg)]) == 1

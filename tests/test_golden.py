@@ -39,6 +39,13 @@ CONFIGS = {
         "record_every": 10,
         "fit_window": [30, 300],
     },
+    # grows its lattice from 256 to 4096 sites, so the growth path is pinned
+    "evolve_growing": {
+        "command": "evolve",
+        "model": {"kind": "dkrm-resonant", "k1": 4.0, "k2": 0.4, "hbar": 1.0},
+        "n_steps": 400,
+        "record_every": 5,
+    },
     "classical": {
         "command": "classical",
         "model": {"kind": "khm", "k1": 1.3, "k2": 0.7},
@@ -64,6 +71,7 @@ CONFIGS = {
 OUTPUTS = {
     "butterfly": ("_spectrum.csv", "_plot.py"),
     "evolve": ("_diffusion.csv", "_summary.json", "_plot.py"),
+    "evolve_growing": ("_diffusion.csv", "_summary.json", "_plot.py"),
     "classical": ("_trajectory.csv", "_classical.json"),
     "fractal": ("_spectrum.csv", "_fractal.json"),
     "symmetries": ("_symmetries.json",),

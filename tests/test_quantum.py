@@ -23,6 +23,7 @@ from kickedharper import (
     apply_floquet,
     apply_kick,
     apply_quadratic_phase,
+    edge_mass,
     evolve,
     floquet_factors,
     kick_coefficients,
@@ -30,6 +31,7 @@ from kickedharper import (
     momentum_variance,
     parse_effective_planck,
 )
+from kickedharper.quantum import trigger_margin
 
 TWO_PI = 2.0 * math.pi
 
@@ -312,6 +314,26 @@ def test_evolve_records_at_requested_cadence():
     assert series.final_norm == pytest.approx(1.0, abs=1e-10)
 
 
+def stepped_evolve(model, psi, n_steps, record_every):
+    """evolve as a loop over apply_floquet that doubles the lattice on overflow."""
+    l0 = int(psi.l_min + np.argmax(np.abs(psi.amps)))
+    steps, variance = [0], [momentum_variance(psi, l0)]
+    leak = [edge_mass(psi, trigger_margin(model, psi.n_sites))]
+    for t in range(1, n_steps + 1):
+        while True:
+            try:
+                nxt = apply_floquet(model, psi)
+                break
+            except LatticeOverflowError:
+                psi = psi.doubled()
+        psi = nxt
+        if t % record_every == 0:
+            steps.append(t)
+            variance.append(momentum_variance(psi, l0))
+            leak.append(edge_mass(psi, trigger_margin(model, psi.n_sites)))
+    return np.array(steps), np.array(variance), np.array(leak), psi.n_sites
+
+
 def test_evolve_matches_manual_floquet_loop():
     hb = EffPlanck(1.0)
     model = ModelSpec(DKRM_RESONANT, 1.2, 0.9, hb)
@@ -322,6 +344,25 @@ def test_evolve_matches_manual_floquet_loop():
         cur = apply_floquet(model, cur)
         assert series.variance[t] == pytest.approx(momentum_variance(cur, 0),
                                                    rel=1e-12)
+    growing = ModelSpec(DKRM_RESONANT, 4.0, 0.4, hb)
+    runs = [
+        (growing, 64, 150, 1),
+        (growing, 64, 150, 7),
+        (ModelSpec(KHM, 1.5, 1.0, EffPlanck(0.9)), 256, 200, 3),
+        (ModelSpec(DKRM_GENERAL, 2.0, 1.5, EffPlanck(1.3), (1, 2)), 256, 200, 1),
+    ]
+    for model, n_sites, n_steps, record_every in runs:
+        psi = Wavepacket.delta(l0=3, n_sites=n_sites, hbar_eff=model.hbar_eff)
+        amps0 = psi.amps.copy()
+        series = evolve(model, psi, n_steps, record_every)
+        assert np.array_equal(psi.amps, amps0)
+        steps, variance, leak, final_sites = stepped_evolve(
+            model, psi, n_steps, record_every)
+        assert np.array_equal(series.steps, steps)
+        assert np.array_equal(series.variance, variance)
+        assert np.array_equal(series.leak, leak)
+        if model is growing:
+            assert final_sites >= 8 * n_sites
 
 
 def test_evolve_is_deterministic():

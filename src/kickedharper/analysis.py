@@ -136,8 +136,8 @@ def box_counting_dimension(points, scales=DEFAULT_BOX_SCALES) -> BoxCountResult:
 def spectrum_set_distance(a, b) -> float:
     """Circular multiset distance: best cyclic alignment, worst pointwise gap.
 
-    Both inputs are eigenphase multisets of equal size; values are wrapped
-    onto (-pi, pi] before sorting.  Cost is quadratic in the set size.
+    Both inputs are equal-size eigenphase multisets, wrapped onto (-pi, pi] and
+    sorted.  Shifts go by ascending first-pair gap, a floor on their worst gap.
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -147,10 +147,12 @@ def spectrum_set_distance(a, b) -> float:
         return 0.0
     a = np.sort(np.mod(a + np.pi, TWO_PI) - np.pi)
     b = np.sort(np.mod(b + np.pi, TWO_PI) - np.pi)
+    d = np.abs(a[0] - b)
+    first_gap = np.minimum(d, TWO_PI - d)
     best = math.inf
-    for shift in range(a.size):
-        d = np.abs(a - np.roll(b, shift))
-        worst = float(np.max(np.minimum(d, TWO_PI - d)))
-        if worst < best:
-            best = worst
+    for j in np.argsort(first_gap):
+        if first_gap[j] >= best:
+            break
+        d = np.abs(a - np.roll(b, -j))
+        best = min(best, float(np.max(np.minimum(d, TWO_PI - d))))
     return best

@@ -144,6 +144,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.resonance is not None:  # a tuple, so the model hashes
+            object.__setattr__(self, "resonance", tuple(self.resonance))
         for k in (self.k1, self.k2):
             if not (k >= 0 and math.isfinite(k)):
                 raise ValueError("kick strengths must be finite and >= 0")
@@ -271,5 +273,5 @@ def edge_mass(psi: Wavepacket, margin: int) -> float:
     """Total probability within `margin` sites of either lattice edge."""
     if margin < 1 or margin >= psi.n_sites / 2:
         raise ValueError("need 1 <= margin < lattice size / 2")
-    prob = np.abs(psi.amps) ** 2
-    return float(np.sum(prob[:margin]) + np.sum(prob[-margin:]))
+    head, tail = np.abs(psi.amps[:margin]) ** 2, np.abs(psi.amps[-margin:]) ** 2
+    return float(np.sum(head) + np.sum(tail))

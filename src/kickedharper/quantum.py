@@ -97,11 +97,16 @@ class QuadraticPhase:
             if abs(self.coeff - exact) > 1e-12 * max(1.0, abs(exact)):
                 raise ValueError("cycles tag inconsistent with coeff")
 
+    @property
+    def period(self) -> int:
+        """Tagged table period: b, or 2b if a*b is odd, with a/b = cycles."""
+        a, b = self.cycles.numerator, self.cycles.denominator
+        return b if a * b % 2 == 0 else 2 * b
+
     def values(self, l) -> np.ndarray:
         l = np.asarray(l, dtype=np.int64)
         if self.cycles is not None:
-            a = self.cycles.numerator
-            b = self.cycles.denominator
+            a, b = self.cycles.numerator, self.cycles.denominator
             idx = (a % (2 * b)) * (l * l % (2 * b)) % (2 * b)
             table = np.exp(-1j * np.pi * np.arange(2 * b) / b)
             return table[idx]
@@ -115,6 +120,11 @@ class HarperPhase:
 
     strength: float
     planck: EffPlanck
+
+    @property
+    def period(self) -> int:
+        """den of the tag hbar = 2*pi*num/den, the period of cos(hbar l) in l."""
+        return self.planck.rational_part.den
 
     def values(self, l) -> np.ndarray:
         l = np.asarray(l, dtype=np.int64)

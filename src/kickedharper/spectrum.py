@@ -33,28 +33,13 @@ DEFECT_PANEL_ROWS = 64  # rows of U^dagger U formed at a time, to bound memory
 # ── lattice periodicity ────────────────────────────────────────────────────
 
 def lattice_period(model: ModelSpec) -> int:
-    """Smallest P with every momentum-diagonal factor P-periodic in the site index.
+    """Smallest multiple of mu over which every momentum-diagonal factor's tag repeats.
 
-    Candidate periods follow from the denominator structure of the phases and
-    are then verified against the actual factor values; a candidate set that
-    fails verification is a bug in the phase tables, not something to paper
-    over, hence the hard error.
-    """
-    rp = model.hbar_eff.rational_part
-    if rp is None:
+    mu is the resonance denominator; den divides the first drift's or Harper period."""
+    if model.hbar_eff.rational_part is None:
         raise ConfigError("spectral reduction needs hbar_eff tagged as 2*pi*num/den")
-    if model.kind == KHM:
-        candidates = (rp.den,)
-    else:
-        base = math.lcm(rp.den, model.resonance_order[1])
-        candidates = (base, 2 * base, 4 * base)
-    diags = [f for f in floquet_factors(model) if not isinstance(f, KickFactor)]
-    for period in candidates:
-        window = np.arange(0, 3 * period, dtype=np.int64)
-        if all(np.max(np.abs(d.values(window + period) - d.values(window))) < 1e-12
-               for d in diags):
-            return period
-    raise NumericalError(f"no verified lattice period among {candidates}")
+    return math.lcm(model.resonance_order[1], *(
+        f.period for f in floquet_factors(model) if not isinstance(f, KickFactor)))
 
 
 def theta_grid(count: int) -> np.ndarray:

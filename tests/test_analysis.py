@@ -14,10 +14,12 @@ from kickedharper import (
     DiffusionSeries,
     EffPlanck,
     ModelSpec,
+    aggregated_energies,
     box_counting_dimension,
     classify_transport,
     fit_power_law,
     hausdorff_from_alpha,
+    model_from_ratios,
     spectrum_set_distance,
 )
 
@@ -169,6 +171,42 @@ def test_spectrum_distance_is_a_pseudometric():
         assert abs(dab - dba) < 1e-12
         assert spectrum_set_distance(a, c) <= dab + \
             spectrum_set_distance(b, c) + 1e-12
+
+
+def brute_force_set_distance(a, b):
+    """Oracle: worst circular gap minimized over every cyclic shift."""
+    a = np.sort(np.mod(np.asarray(a, dtype=float) + np.pi, 2 * np.pi) - np.pi)
+    b = np.sort(np.mod(np.asarray(b, dtype=float) + np.pi, 2 * np.pi) - np.pi)
+    best = math.inf
+    for shift in range(a.size):
+        d = np.abs(a - np.roll(b, shift))
+        best = min(best, float(np.max(np.minimum(d, 2 * np.pi - d))))
+    return best
+
+
+def symmetry_claim_pairs():
+    """Spectra that check-symmetries compares: period, mirror and kick swap."""
+    pairs = []
+    for num, den in ((1, 5), (3, 7)):
+        spec = [aggregated_energies(model_from_ratios(DKRM_RESONANT, r1, r2, n, den), 8)
+                for r1, r2, n in ((0.9, 0.4, num), (0.9, 0.4, num + 2 * den),
+                                  (0.9, 0.4, 2 * den - num), (0.4, 0.9, num))]
+        pairs += [(spec[0], other) for other in spec[1:]]
+    return pairs
+
+
+def test_spectrum_distance_equals_the_brute_force_over_every_shift():
+    rng = np.random.default_rng(41)
+    pairs = symmetry_claim_pairs()
+    for n in (1, 2, 7, 60, 301):
+        a, b = rng.uniform(-np.pi, np.pi, size=(2, n))
+        pairs += [(a, b), (a, a + rng.normal(scale=1e-3, size=n))]
+    pairs += [(np.full(40, 0.3), np.full(40, 0.3)),        # degenerate sets
+              (np.full(40, 0.3), np.full(40, -2.0)),
+              (np.array([np.pi, -np.pi + 1e-15, 0.2, 3.1]),  # the pi/-pi seam
+               np.array([-np.pi, np.pi - 1e-15, -3.1, 0.2]))]
+    for a, b in pairs:
+        assert spectrum_set_distance(a, b) == brute_force_set_distance(a, b)
 
 
 def test_spectrum_distance_rejects_size_mismatch():

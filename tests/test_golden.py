@@ -1,9 +1,10 @@
 """Golden outputs of the five CLI commands at small fixed configs.
 
 The files under tests/golden/ are the outputs of these configs.  Regenerate
-them only for an intended output change, with
+them only for an intended output change, and only for the configs it
+changes, by naming them:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
 evolve and classical must match byte for byte.  Spectra are eigen-solver
 output, so quasienergies, d0 and symmetry distances match within 1e-12; all
@@ -142,7 +143,10 @@ def test_cli_outputs_match_the_golden_files(name, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
+    if not names or not set(names) <= CONFIGS.keys():
+        sys.exit(f"usage: test_golden.py NAME [NAME ...], NAME in {sorted(CONFIGS)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name in CONFIGS:
+    for name in names:
         if run(name, GOLDEN) != 0:
             sys.exit(f"{name} failed")

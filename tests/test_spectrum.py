@@ -13,6 +13,7 @@ from kickedharper import (
     BlochMatrix,
     ConfigError,
     EffPlanck,
+    HarperPhase,
     KickFactor,
     ModelSpec,
     NumericalError,
@@ -62,6 +63,49 @@ def test_lattice_period_needs_a_rational_tag():
         lattice_period(ModelSpec(KHM, 1.0, 1.0, EffPlanck(1.0)))
 
 
+def candidate_scan_period(model):
+    """Oracle: the first of den (khm) or lcm(den, mu)*{1, 2, 4} at which every
+    diagonal factor's values repeat on a 3P-site window."""
+    rp = model.hbar_eff.rational_part
+    if model.kind == KHM:
+        candidates = (rp.den,)
+    else:
+        base = math.lcm(rp.den, model.resonance_order[1])
+        candidates = (base, 2 * base, 4 * base)
+    diags = [f for f in floquet_factors(model) if not isinstance(f, KickFactor)]
+    for period in candidates:
+        window = np.arange(0, 3 * period, dtype=np.int64)
+        if all(np.max(np.abs(d.values(window + period) - d.values(window))) < 1e-12
+               for d in diags):
+            return period
+    raise AssertionError(f"no verified lattice period among {candidates}")
+
+
+PERIOD_SWEEP_FAMILIES = [(KHM, None), (DKRM_RESONANT, None)] + [
+    (DKRM_GENERAL, res) for res in [(1, 1), (1, 2), (1, 3), (2, 3), (3, 4),
+                                    (1, 4), (3, 2), (5, 3), (7, 6), (5, 8)]]
+
+
+def test_lattice_period_equals_the_candidate_scan_and_factor_periods_are_exact():
+    factors = set()
+    for kind, resonance in PERIOD_SWEEP_FAMILIES:
+        for r in scan_rationals(kind, 12, 4):
+            for ratios in ((1.0, 0.5), (0.0, 0.0)):
+                model = model_from_ratios(kind, *ratios, r.num, r.den, resonance)
+                assert lattice_period(model) == candidate_scan_period(model), model
+                factors.update(f for f in floquet_factors(model)
+                               if not isinstance(f, KickFactor))
+    for f in factors:
+        p = f.period
+        sites = np.arange(-2 * p, 2 * p, dtype=np.int64)
+        assert np.array_equal(f.values(sites + p), f.values(sites)), f
+        if isinstance(f, HarperPhase) and f.strength == 0.0:
+            continue                    # constant table: it repeats at every shift
+        for d in (d for d in range(1, p) if p % d == 0):
+            gap = np.max(np.abs(f.values(sites + d) - f.values(sites)))
+            assert gap > 1e-6, (f, d)
+
+
 # ── theta grid ─────────────────────────────────────────────────────────────
 
 def test_theta_grid_is_uniform_and_closed_under_negation():
@@ -99,6 +143,18 @@ def bloch_union(model, sector_count):
     parts = [quasienergies(build_bloch_matrix(model, th))
              for th in theta_grid(sector_count)]
     return np.sort(np.concatenate(parts))
+
+
+def test_list_resonance_is_stored_as_a_tuple():
+    hb = EffPlanck.from_rational(1, 5)
+    listed = ModelSpec(DKRM_GENERAL, 1.0, 2.0, hb, [1, 2])
+    paired = ModelSpec(DKRM_GENERAL, 1.0, 2.0, hb, (1, 2))
+    assert listed == paired and hash(listed) == hash(paired)
+    assert np.array_equal(build_bloch_matrix(listed, 0.7).matrix,
+                          build_bloch_matrix(paired, 0.7).matrix)
+    scans = [butterfly_scan(DKRM_GENERAL, 1.0, 0.5, 2, 2, resonance=res)
+             for res in ([1, 2], (1, 2))]
+    assert list(scans[0].rows()) == list(scans[1].rows())
 
 
 @pytest.mark.parametrize("model,sectors", [

@@ -91,7 +91,6 @@ def _parse_model(obj, command: str, spec: _Command) -> ModelSpec:
         if not (isinstance(resonance, list) and len(resonance) == 2
                 and all(map(_is_int, resonance))):
             _fail("model.resonance must be a pair of positive integers")
-        resonance = (resonance[0], resonance[1])
     hbar = obj.get("hbar")
     if spec.hbar == NO_HBAR and "hbar" in obj:
         _fail(f"{command} chooses hbar itself; drop model.hbar "

@@ -106,10 +106,10 @@ def parse_effective_planck(spec: float | int | str) -> EffPlanck:
         if not text.startswith("2pi*"):
             raise ValueError(f"cannot parse hbar spec {spec!r}; expected '2pi*num/den'")
         body = text[len("2pi*"):]
-        num_s, _, den_s = body.partition("/")
+        num_s, slash, den_s = body.partition("/")
         try:
             num = int(num_s)
-            den = int(den_s) if den_s else 1
+            den = int(den_s) if slash else 1
         except ValueError:
             raise ValueError(f"cannot parse hbar spec {spec!r}") from None
         return EffPlanck.from_rational(num, den)
@@ -122,6 +122,15 @@ KHM = "khm"
 DKRM_RESONANT = "dkrm-resonant"
 DKRM_GENERAL = "dkrm-general"
 MODEL_KINDS = (KHM, DKRM_RESONANT, DKRM_GENERAL)
+
+
+def _resonance_pair(resonance) -> tuple[int, int]:
+    """resonance as a tuple, checked to be two coprime positive ints (not bools)."""
+    pair = tuple(resonance)
+    ints = all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+    if len(pair) != 2 or not ints or min(pair) < 1 or math.gcd(*pair) != 1:
+        raise ValueError("(nu, mu) must be coprime positive integers")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -145,16 +154,13 @@ class ModelSpec:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.resonance is not None:  # a tuple, so the model hashes
-            object.__setattr__(self, "resonance", tuple(self.resonance))
+            object.__setattr__(self, "resonance", _resonance_pair(self.resonance))
         for k in (self.k1, self.k2):
             if not (k >= 0 and math.isfinite(k)):
                 raise ValueError("kick strengths must be finite and >= 0")
         if self.kind == DKRM_GENERAL:
             if self.resonance is None:
                 raise ValueError("general-resonance model requires (nu, mu)")
-            nu, mu = self.resonance
-            if nu < 1 or mu < 1 or math.gcd(nu, mu) != 1:
-                raise ValueError("(nu, mu) must be coprime positive integers")
         elif self.resonance not in (None, (1, 1)):
             raise ValueError("resonance order is fixed to 1/1 for this kind")
 
@@ -186,9 +192,8 @@ class LabParams:
             raise ValueError("planck must be positive")
         if self.k1 < 0 or self.k2 < 0:
             raise ValueError("kick strengths must be >= 0")
+        object.__setattr__(self, "resonance", _resonance_pair(self.resonance))
         nu, mu = self.resonance
-        if nu < 1 or mu < 1 or math.gcd(nu, mu) != 1:
-            raise ValueError("(nu, mu) must be coprime positive integers")
         target = 4.0 * math.pi * nu / mu
         if abs(self.period * self.planck - target) > 1e-12 * target:
             raise ValueError("period*planck does not satisfy the resonance condition")

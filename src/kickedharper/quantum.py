@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import LatticeOverflowError, NumericalError, ResourceLimitError
 from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Wavepacket, edge_mass,
@@ -183,7 +182,7 @@ def apply_kick(psi: Wavepacket, x: float) -> Wavepacket:
     Equals banded convolution with kick_coefficients(|x|) as long as the
     state keeps clear of the lattice edges (circular wrap otherwise).
     """
-    out = _fft.fft(_fft.ifft(psi.amps) * _kick_table(x, psi.n_sites))
+    out = np.fft.fft(np.fft.ifft(psi.amps) * _kick_table(x, psi.n_sites))
     return psi.with_amps(out)
 
 
@@ -215,7 +214,7 @@ def _apply_period(model: ModelSpec, amps: np.ndarray, l_min: int,
     """One period along the last axis of a state or a stack of states from site l_min."""
     for op, table in _kernel_tables(model, l_min, amps.shape[-1], theta):
         if op == "kick":
-            amps = _fft.fft(_fft.ifft(amps) * table)
+            amps = np.fft.fft(np.fft.ifft(amps) * table)
         else:
             amps = amps * table
     return amps

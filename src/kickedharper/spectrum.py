@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .analysis import spectrum_set_distance
 from .errors import ConfigError, NumericalError
 from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Rational,
                       farey_sequence)
@@ -283,8 +284,6 @@ def check_symmetry_claims(kind: str, ratio1: float, ratio2: float, rationals,
     about 2*pi, and invariance under swapping the two kick strengths.
     Claims whose partner falls outside hbar_eff > 0 are skipped.
     """
-    from .analysis import spectrum_set_distance
-
     def agg(r1, r2, num, den):
         model = model_from_ratios(kind, r1, r2, num, den, resonance)
         return aggregated_energies(model, theta_count)

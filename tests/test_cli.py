@@ -184,6 +184,33 @@ def test_module_entry_point_runs_the_config(tmp_path):
     assert run(str(tmp_path / "missing.json")) == 2
 
 
+def test_every_command_runs_without_scipy(tmp_path):
+    # the package needs numpy only; scipy is a test dependency, so a run must
+    # neither import it nor load any of its submodules
+    model = {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0}
+    cfgs = [
+        butterfly_config(tmp_path, prefix="bf", workers=2),
+        {"command": "evolve", "output_prefix": str(tmp_path / "ev"),
+         "model": dict(model, hbar="2pi*1/3"), "n_steps": 20},
+        {"command": "classical", "output_prefix": str(tmp_path / "cl"),
+         "model": model, "n_points": 100, "n_steps": 5},
+        {"command": "fractal", "output_prefix": str(tmp_path / "fr"),
+         "model": dict(model, hbar="2pi*2/7"), "theta_count": 16},
+        {"command": "check-symmetries", "output_prefix": str(tmp_path / "sym"),
+         "model": model, "s_max": 3, "theta_count": 2, "n_rationals": 2},
+    ]
+    configs = [write_config(tmp_path, f"c{i}.json", c) for i, c in enumerate(cfgs)]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import kickedharper.cli\n"
+            f"print([kickedharper.cli.main([c]) for c in {configs!r}])\n"
+            "print(sorted(m for m, mod in sys.modules.items()\n"
+            "             if m.startswith('scipy') and mod is not None))\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [str([0] * 5), "[]"]
+
+
 # ── fractal ────────────────────────────────────────────────────────────────
 
 def test_fractal_writes_spectrum_and_dimension(tmp_path):
@@ -200,25 +227,6 @@ def test_fractal_writes_spectrum_and_dimension(tmp_path):
     assert len(report["scales"]) == len(report["counts"])
     lines = (tmp_path / "fr_spectrum.csv").read_text().splitlines()
     assert len(lines) == 1 + 13 * 8
-
-
-def test_fractal_run_leaves_scipy_linalg_unloaded(tmp_path):
-    # the eigen-solve uses numpy.linalg only; importing scipy.linalg costs
-    # set-up time and resident memory on every run
-    cfg = {
-        "command": "fractal",
-        "output_prefix": str(tmp_path / "fr"),
-        "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0, "hbar": "2pi*2/7"},
-        "theta_count": 16,
-    }
-    config = write_config(tmp_path, "c.json", cfg)
-    code = ("import sys\n"
-            "import kickedharper.cli\n"
-            f"assert kickedharper.cli.main([{config!r}]) == 0\n"
-            "print('scipy.linalg' in sys.modules)\n")
-    proc = run_python(["-c", code])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 def test_fractal_requires_an_exact_rational_hbar(tmp_path):

@@ -96,7 +96,7 @@ def test_parse_effective_planck_real_has_no_tag():
 
 
 def test_parse_effective_planck_rejects_junk():
-    for bad in ("pi*1/2", "2pi*", "2pi*a/b", "2pi*1/0", "2pi*-1/2"):
+    for bad in ("pi*1/2", "2pi*", "2pi*a/b", "2pi*1/0", "2pi*-1/2", "2pi*3/"):
         with pytest.raises(ValueError):
             parse_effective_planck(bad)
     with pytest.raises(ValueError):
@@ -129,6 +129,11 @@ def test_model_spec_validation():
         ModelSpec(DKRM_GENERAL, 1.0, 1.0, hb, resonance=(2, 4))
     with pytest.raises(ValueError):
         ModelSpec(DKRM_RESONANT, 1.0, 1.0, hb, resonance=(1, 2))
+    # (nu, mu) are ints: floats and bools are rejected, even where they equal (1, 1)
+    for kind, resonance in ((DKRM_GENERAL, (1.0, 2.0)), (KHM, (1.0, 1.0)),
+                            (DKRM_RESONANT, (1.0, 1.0)), (DKRM_GENERAL, (True, 2))):
+        with pytest.raises(ValueError):
+            ModelSpec(kind, 1.0, 1.0, hb, resonance=resonance)
     assert ModelSpec(DKRM_RESONANT, 1.0, 1.0, hb).resonance_order == (1, 1)
 
 
@@ -148,6 +153,9 @@ def test_lab_params_rescale_to_model():
         LabParams(3.0, 1.5, period * 1.01, eta, planck, (1, 1))
     with pytest.raises(ValueError):
         LabParams(3.0, 1.5, period, period * 2, planck, (1, 1))
+    for resonance in ((1.0, 1.0), (True, 1)):
+        with pytest.raises(ValueError):
+            LabParams(3.0, 1.5, period, eta, planck, resonance)
 
 
 def test_lab_params_general_resonance_maps_to_general_model():

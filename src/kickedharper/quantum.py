@@ -1,12 +1,11 @@
 """Floquet operators on the momentum lattice and long-time evolution.
 
 Kick factors e^{-i x cos q} are applied exactly on the position grid
-q_k = (2*pi*k + theta)/n of an n-site lattice (cos q is diagonal there): theta
-is 0 in transport runs, and a Bloch block at angle theta is the same period
-step on one lattice period.  Free-evolution factors are diagonal phases in
-momentum.  Rational effective Planck constants get bit-exact diagonal phases
-via integer reduction, which keeps lattice periodicity exact for the Bloch
-machinery and avoids large-argument phase loss at big |l|.
+q_k = 2*pi*k/n of an n-site lattice (cos q is diagonal there).  Free-evolution
+factors are diagonal phases in momentum.  Rational effective Planck constants
+get bit-exact diagonal phases via integer reduction, which keeps lattice
+periodicity exact for the Bloch machinery and avoids large-argument phase
+loss at big |l|.
 """
 
 from __future__ import annotations
@@ -102,6 +101,11 @@ class QuadraticPhase:
         a, b = self.cycles.numerator, self.cycles.denominator
         return b if a * b % 2 == 0 else 2 * b
 
+    def jump(self, shift: int) -> int | None:
+        """values(l + shift) / values(l): (-1)^(a*shift) when b divides shift, else None."""
+        a, b = self.cycles.numerator, self.cycles.denominator
+        return None if shift % b else (-1) ** (a * shift % 2)
+
     def values(self, l) -> np.ndarray:
         l = np.asarray(l, dtype=np.int64)
         if self.cycles is not None:
@@ -124,6 +128,10 @@ class HarperPhase:
     def period(self) -> int:
         """den of the tag hbar = 2*pi*num/den, the period of cos(hbar l) in l."""
         return self.planck.rational_part.den
+
+    def jump(self, shift: int) -> int | None:
+        """values(l + shift) / values(l): 1 when den divides shift, else None."""
+        return None if shift % self.period else 1
 
     def values(self, l) -> np.ndarray:
         l = np.asarray(l, dtype=np.int64)
@@ -162,9 +170,9 @@ def floquet_factors(model: ModelSpec) -> tuple:
 # ── applying factors on the lattice ────────────────────────────────────────
 
 @lru_cache(maxsize=8)
-def _kick_table(strength: float, n: int, theta: float = 0.0) -> np.ndarray:
-    """e^{-i strength cos q_k}, q_k = (2*pi*k + theta)/n; read-only, as it is shared."""
-    table = np.exp(-1j * strength * np.cos((TWO_PI * np.arange(n) + theta) / n))
+def _kick_table(strength: float, n: int) -> np.ndarray:
+    """e^{-i strength cos q_k}, q_k = 2*pi*k/n; read-only, as it is shared."""
+    table = np.exp(-1j * strength * np.cos(TWO_PI * np.arange(n) / n))
     table.flags.writeable = False
     return table
 
@@ -194,12 +202,12 @@ def apply_quadratic_phase(psi: Wavepacket, tau: float,
 
 
 @lru_cache(maxsize=4)
-def _kernel_tables(model: ModelSpec, l_min: int, n: int, theta: float) -> tuple:
+def _kernel_tables(model: ModelSpec, l_min: int, n: int) -> tuple:
     """(op, table) pairs of one period; adjacent diagonal factors share one table."""
     ops = []
     for f in floquet_factors(model):
         if isinstance(f, KickFactor):
-            ops.append(("kick", _kick_table(f.strength, n, theta)))
+            ops.append(("kick", _kick_table(f.strength, n)))
         elif ops and ops[-1][0] == "diag":
             table = ops[-1][1] * _diagonal_table(f, l_min, n)
             table.flags.writeable = False
@@ -209,10 +217,9 @@ def _kernel_tables(model: ModelSpec, l_min: int, n: int, theta: float) -> tuple:
     return tuple(ops)
 
 
-def _apply_period(model: ModelSpec, amps: np.ndarray, l_min: int,
-                  theta: float = 0.0) -> np.ndarray:
+def _apply_period(model: ModelSpec, amps: np.ndarray, l_min: int) -> np.ndarray:
     """One period along the last axis of a state or a stack of states from site l_min."""
-    for op, table in _kernel_tables(model, l_min, amps.shape[-1], theta):
+    for op, table in _kernel_tables(model, l_min, amps.shape[-1]):
         if op == "kick":
             amps = np.fft.fft(np.fft.ifft(amps) * table)
         else:

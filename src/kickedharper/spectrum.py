@@ -19,28 +19,34 @@ from numpy.linalg import _umath_linalg
 
 from .analysis import spectrum_set_distance
 from .errors import ConfigError, NumericalError
-from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Rational,
-                      farey_sequence)
-from .quantum import KickFactor, _apply_period, floquet_factors
+from .lattice import KHM, TWO_PI, EffPlanck, ModelSpec, Rational, farey_sequence
+from .quantum import KickFactor, floquet_factors
 
 UNITARITY_TOL = 1e-8
 EIGENMOD_TOL = 1e-6
 CAYLEY_POLE = 1.0       # first pole phase; not a rational multiple of pi
 CAYLEY_CLEARANCE = 0.1  # re-solve when an eigenphase lies nearer the pole
 MOMENT_TOL = 1e-10      # per site, on the tr U and tr U^2 checks
-DEFECT_PANEL_ROWS = 64  # rows of U^dagger U formed at a time, to bound memory
+STACK_ENTRIES = 2 ** 16  # complex entries per stack of blocks, to bound memory
 
 
 # ── lattice periodicity ────────────────────────────────────────────────────
 
 def lattice_period(model: ModelSpec) -> int:
-    """Smallest multiple of mu over which every momentum-diagonal factor's tag repeats.
-
-    mu is the resonance denominator; den divides the first drift's or Harper period."""
+    """Smallest multiple of mu (the resonance denominator) over which every diagonal
+    factor's tag repeats; den divides the first drift's or Harper period."""
     if model.hbar_eff.rational_part is None:
         raise ConfigError("spectral reduction needs hbar_eff tagged as 2*pi*num/den")
     return math.lcm(model.resonance_order[1], *(
         f.period for f in floquet_factors(model) if not isinstance(f, KickFactor)))
+
+
+def bloch_fold(model: ModelSpec) -> int:
+    """2 if the Floquet operator commutes with translation by lattice_period/2, else 1:
+    kicks commute with every translation, diagonal factors pick up their tags' jumps."""
+    half, odd = divmod(lattice_period(model), 2)
+    jumps = [f.jump(half) for f in floquet_factors(model) if not isinstance(f, KickFactor)]
+    return 1 if odd or None in jumps or math.prod(jumps) != 1 else 2
 
 
 def theta_grid(count: int) -> np.ndarray:
@@ -62,88 +68,95 @@ class BlochMatrix:
 
 
 def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> BlochMatrix:
-    """The Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l.
-
-    It is the lattice step on P sites with kick grid q_k = (2*pi*k + theta)/P,
-    conjugated by the gauge diag(e^{i theta l/P}).  coeffs is ignored; it is
-    kept for callers that still pass precomputed kick coefficients.
-    """
+    """The Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l,
+    P = lattice_period(model).  coeffs is ignored; some callers still pass it."""
     period = lattice_period(model)
-    u = _apply_period(model, np.eye(period, dtype=np.complex128), 0, float(theta)).T
-    gauge = np.exp(1j * theta * np.arange(period) / period)
-    u *= gauge.conj()[:, None]
-    u *= gauge
-    err = 0.0
-    for start in range(0, period, DEFECT_PANEL_ROWS):
-        defect = u[:, start:start + DEFECT_PANEL_ROWS].conj().T @ u
-        defect.flat[start::period + 1] -= 1.0
-        err = max(err, np.max(np.abs(defect)))
-    if err > UNITARITY_TOL:
-        raise NumericalError(f"Bloch block unitarity defect {err:.3e}")
-    return BlochMatrix(period, float(theta), u)
+    return BlochMatrix(period, float(theta),
+                       _bloch_stack(model, np.array([float(theta)]), period)[0])
+
+
+def _bloch_stack(model: ModelSpec, phis: np.ndarray, period: int) -> np.ndarray:
+    """(B, P, P) blocks of the Floquet operator on P sites at Bloch angles phis.
+
+    Kicks act on the grid q_k = (2*pi*k + phi)/P of the running angle phi.  A
+    diagonal factor's jump s = +-1 over P (P must be lattice_period or, at fold
+    2, its half) brings the ramp e^{-i arg(s) l/P} and moves phi by -arg(s).
+    The gauge is diag(e^{-i phi_end l/P}) on the left, diag(e^{i phi l/P}) on the right."""
+    sites = np.arange(period)
+    angle = phis[:, None, None]
+    u = np.eye(period, dtype=np.complex128)         # rows: images of the basis
+    for f in floquet_factors(model):
+        if isinstance(f, KickFactor):               # the first ifft is the DFT matrix
+            u = np.fft.fft(np.fft.ifft(u) * np.exp(
+                -1j * f.strength * np.cos((TWO_PI * sites + angle) / period)))
+        elif f.jump(period) == 1:
+            u = u * f.values(sites)
+        else:
+            u = u * (f.values(sites) * np.exp(-1j * np.pi * sites / period))
+            angle = angle - np.pi
+    u = u.swapaxes(1, 2) * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)
+    u *= np.exp(1j * phis[:, None, None] * sites / period)
+    err = np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(period)), axis=(1, 2))
+    if np.any(err > UNITARITY_TOL):
+        raise NumericalError(f"Bloch block unitarity defect {np.max(err):.3e}")
+    return u
 
 
 def quasienergies(bloch: BlochMatrix) -> np.ndarray:
-    """Sorted eigenphases of the block, as epsilon in (-pi, pi].
-
-    The unitary block is solved as a Hermitian problem through a Cayley
-    transform about a pole phase (see _cayley_phases).  When an eigenphase
-    lies within CAYLEY_CLEARANCE of the first pole, the block is solved once
-    more with the pole in the middle of the widest spectral gap.  A solve
-    that fails, or whose eigenphases do not reproduce tr U and tr U^2, falls
-    back to the dense non-symmetric eigen-solve.
-    """
-    u = np.asarray(bloch.matrix)
-    try:
-        eps, clearance = _cayley_phases(u, CAYLEY_POLE)
-        if clearance < CAYLEY_CLEARANCE:
-            eps, _ = _cayley_phases(u, _widest_gap_middle(eps))
-    except (np.linalg.LinAlgError, FloatingPointError):
-        return _eigvals_phases(u)
-    if _moments_match(u, eps):
-        return eps
-    return _eigvals_phases(u)
+    """Sorted eigenphases of the block, as epsilon in (-pi, pi] (see _stack_phases)."""
+    return _stack_phases(np.asarray(bloch.matrix)[None])[0]
 
 
-def _cayley_phases(u: np.ndarray, pole: float) -> tuple:
-    """(sorted eigenphases, distance of the nearest one to pole) of unitary u.
+def _stack_phases(u: np.ndarray) -> np.ndarray:
+    """Sorted eigenphases in (-pi, pi] of each unitary block of a (B, P, P) stack.
+
+    A block with an eigenphase within CAYLEY_CLEARANCE of the first pole is
+    re-solved with the pole in the middle of its widest gap; one that fails the
+    tr U and tr U^2 check falls back to dense eigvals."""
+    eps, clearance = _cayley_phases(u, CAYLEY_POLE)
+    redo = np.flatnonzero(clearance < CAYLEY_CLEARANCE)
+    if redo.size:
+        ring = np.concatenate([eps[redo], eps[redo, :1] + TWO_PI], axis=1)
+        k, rows = np.argmax(np.diff(ring), axis=1), np.arange(redo.size)
+        eps[redo], _ = _cayley_phases(u[redo], 0.5 * (ring[rows, k] + ring[rows, k + 1]))
+    for b in np.flatnonzero(~_moments_match(u, eps)):
+        eps[b] = _eigvals_phases(u[b])
+    return eps
+
+
+def _cayley_phases(u: np.ndarray, pole) -> tuple:
+    """(sorted eigenphases, distance of the nearest one to pole) of each block of u.
 
     V = e^{i(pole + pi)} U maps the eigenphase `pole` to -1, and
     H = i(V - I)(V + I)^{-1} = i(I - 2 (V + I)^{-1}) is Hermitian with
     eigenvalues w = -tan(phi/2) for each eigenvalue e^{i phi} of V, so
     epsilon = pole + pi + 2 arctan(w).  Rounding in H grows like the inverse
     of that distance, which is why the caller re-solves when it is small.
+    pole is a scalar or one per block.
     """
-    period = u.shape[0]
-    h = u * np.exp(1j * (pole + np.pi))
-    h.flat[::period + 1] += 1.0
-    # np.linalg.inv's gufunc, writing over its input: np.linalg.inv would keep
-    # a separate result alive beside U, V + I and LAPACK's copy, which sets
-    # the peak memory of the large blocks; a singular V + I raises
-    # FloatingPointError here
-    with np.errstate(invalid="raise", over="ignore", divide="ignore"):
+    pole = np.asarray(pole, dtype=np.float64)[..., None]
+    diag = np.arange(u.shape[-1])
+    h = u * np.exp(1j * (pole[..., None] + np.pi))
+    h[..., diag, diag] += 1.0
+    # np.linalg's inv and eigvalsh gufuncs, inv writing over its input to bound
+    # peak memory; a singular V + I or a failed solve leaves a NaN block
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         _umath_linalg.inv(h, signature="D->D", out=h)
-    h *= -2j
-    h.flat[::period + 1] += 1j
-    w = np.linalg.eigvalsh(h)
-    clearance = np.pi - 2.0 * np.arctan(np.max(np.abs(w)))
+        h *= -2j
+        h[..., diag, diag] += 1j
+        w = _umath_linalg.eigvalsh_lo(h, signature="D->d")
+    clearance = np.pi - 2.0 * np.arctan(np.max(np.abs(w), axis=-1))
     eps = np.mod(pole + TWO_PI + 2.0 * np.arctan(w), TWO_PI) - np.pi
     return _sorted_half_open(eps), clearance
 
 
-def _widest_gap_middle(eps: np.ndarray) -> float:
-    """Middle of the widest gap between cyclically adjacent sorted phases."""
-    ring = np.append(eps, eps[0] + TWO_PI)
-    k = int(np.argmax(np.diff(ring)))
-    return 0.5 * (ring[k] + ring[k + 1])
-
-
-def _moments_match(u: np.ndarray, eps: np.ndarray) -> bool:
-    """Do sum e^{-i eps} and sum e^{-2i eps} reproduce tr U and tr U^2?"""
+def _moments_match(u: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Per block: do sum e^{-i eps} and sum e^{-2i eps} reproduce tr U and tr U^2?"""
     lam = np.exp(-1j * eps)
-    tol = MOMENT_TOL * u.shape[0]
-    return bool(abs(lam.sum() - np.trace(u)) <= tol
-                and abs((lam * lam).sum() - np.einsum("ij,ji->", u, u)) <= tol)
+    tol = MOMENT_TOL * u.shape[-1]
+    first = np.abs(lam.sum(axis=-1) - np.trace(u, axis1=-2, axis2=-1)) <= tol
+    second = np.abs((lam * lam).sum(axis=-1) - np.einsum("...ij,...ji->...", u, u)) <= tol
+    return first & second
 
 
 def _eigvals_phases(u: np.ndarray) -> np.ndarray:
@@ -194,22 +207,29 @@ def model_from_ratios(kind: str, ratio1: float, ratio2: float, num: int, den: in
     return ModelSpec(kind, ratio1 * hb.value, ratio2 * hb.value, hb, resonance)
 
 
-def _slices_for_model(args) -> list:
-    model, theta_count = args
-    return [SpectrumSlice(model.hbar_eff, float(th),
-                          quasienergies(build_bloch_matrix(model, th)))
-            for th in theta_grid(theta_count)]
+def _bloch_spectra(model: ModelSpec, thetas: np.ndarray) -> np.ndarray:
+    """(T, lattice_period) sorted quasienergies at angles thetas, from chunked stacks;
+    with fold 2 the one at theta unites the half-size blocks at theta/2 and theta/2 + pi."""
+    fold = bloch_fold(model)
+    period = lattice_period(model) // fold
+    phis = ((thetas[:, None] + TWO_PI * np.arange(fold)) / fold).ravel()
+    chunk = max(1, STACK_ENTRIES // period ** 2)
+    eps = np.concatenate([_stack_phases(_bloch_stack(model, phis[i:i + chunk], period))
+                          for i in range(0, phis.size, chunk)])
+    return np.sort(eps.reshape(len(thetas), fold * period), axis=1)
 
 
 def model_spectrum(model: ModelSpec, theta_count: int) -> SpectrumSet:
     """Spectrum of one model over the full Bloch-angle grid."""
-    return SpectrumSet(model.kind, _slices_for_model((model, theta_count)))
+    thetas = theta_grid(theta_count)
+    slices = [SpectrumSlice(model.hbar_eff, float(th), eps)
+              for th, eps in zip(thetas, _bloch_spectra(model, thetas))]
+    return SpectrumSet(model.kind, slices)
 
 
 def aggregated_energies(model: ModelSpec, theta_count: int) -> np.ndarray:
     """Sorted union of quasienergies over the Bloch-angle grid."""
-    spec = model_spectrum(model, theta_count)
-    return np.sort(np.concatenate([sl.energies for sl in spec.slices]))
+    return np.sort(_bloch_spectra(model, theta_grid(theta_count)), axis=None)
 
 
 def scan_rationals(kind: str, s_max: int, window_cycles: int | None = None) -> list:
@@ -244,17 +264,17 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
             raise ValueError("kick ratios must be finite and >= 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    rationals = scan_rationals(kind, s_max, window_cycles)
-    tasks = [(model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance),
-              theta_count) for r in rationals]
-    if workers > 1 and len(tasks) > 1:
+    models = [model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
+              for r in scan_rationals(kind, s_max, window_cycles)]
+    counts = [theta_count] * len(models)
+    if workers > 1 and len(models) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_slices_for_model, tasks,
-                                   chunksize=max(1, len(tasks) // (4 * workers))))
+            specs = list(pool.map(model_spectrum, models, counts,
+                                  chunksize=max(1, len(models) // (4 * workers))))
     else:
-        groups = [_slices_for_model(t) for t in tasks]
-    slices = [sl for group in groups for sl in group]
-    slices.sort(key=lambda sl: (sl.hbar.value, sl.theta))
+        specs = list(map(model_spectrum, models, counts))
+    slices = sorted((sl for spec in specs for sl in spec.slices),
+                    key=lambda sl: (sl.hbar.value, sl.theta))
     return SpectrumSet(kind, slices)
 
 
@@ -300,11 +320,9 @@ def check_symmetry_claims(kind: str, ratio1: float, ratio2: float, rationals,
         for name, partner_num in claims:
             if partner_num < 1:
                 continue
-            other = agg(ratio1, ratio2, partner_num, den)
-            dist = spectrum_set_distance(base, other)
+            dist = spectrum_set_distance(base, agg(ratio1, ratio2, partner_num, den))
             reports.append(SymmetryReport(name, str(r), dist, tol))
         if kind != KHM:
-            other = agg(ratio2, ratio1, num, den)
-            dist = spectrum_set_distance(base, other)
+            dist = spectrum_set_distance(base, agg(ratio2, ratio1, num, den))
             reports.append(SymmetryReport("kick swap", str(r), dist, tol))
     return reports

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kickedharper import spectrum
+from kickedharper import quantum, spectrum
 from kickedharper import (
     DKRM_GENERAL,
     DKRM_RESONANT,
@@ -28,6 +28,7 @@ from kickedharper import (
     kick_coefficients,
     lattice_period,
     model_from_ratios,
+    model_spectrum,
     parse_effective_planck,
     quasienergies,
     scan_rationals,
@@ -86,16 +87,22 @@ PERIOD_SWEEP_FAMILIES = [(KHM, None), (DKRM_RESONANT, None)] + [
                                     (1, 4), (3, 2), (5, 3), (7, 6), (5, 8)]]
 
 
-def test_lattice_period_equals_the_candidate_scan_and_factor_periods_are_exact():
-    factors = set()
+def period_sweep_models():
     for kind, resonance in PERIOD_SWEEP_FAMILIES:
         for r in scan_rationals(kind, 12, 4):
             for ratios in ((1.0, 0.5), (0.0, 0.0)):
-                model = model_from_ratios(kind, *ratios, r.num, r.den, resonance)
-                assert lattice_period(model) == candidate_scan_period(model), model
-                factors.update(f for f in floquet_factors(model)
-                               if not isinstance(f, KickFactor))
-    for f in factors:
+                yield model_from_ratios(kind, *ratios, r.num, r.den, resonance)
+
+
+def sweep_diagonal_factors():
+    return {f for model in period_sweep_models() for f in floquet_factors(model)
+            if not isinstance(f, KickFactor)}
+
+
+def test_lattice_period_equals_the_candidate_scan_and_factor_periods_are_exact():
+    for model in period_sweep_models():
+        assert lattice_period(model) == candidate_scan_period(model), model
+    for f in sweep_diagonal_factors():
         p = f.period
         sites = np.arange(-2 * p, 2 * p, dtype=np.int64)
         assert np.array_equal(f.values(sites + p), f.values(sites)), f
@@ -104,6 +111,54 @@ def test_lattice_period_equals_the_candidate_scan_and_factor_periods_are_exact()
         for d in (d for d in range(1, p) if p % d == 0):
             gap = np.max(np.abs(f.values(sites + d) - f.values(sites)))
             assert gap > 1e-6, (f, d)
+
+
+def test_diagonal_factor_jumps_follow_their_tags():
+    """values(l + m*b) = (-1)^(a*b*m) values(l) for a drift tagged a/b, and
+    values(l + m*den) = values(l) for a Harper phase; no other shift below b
+    multiplies the table by a constant."""
+    for f in sweep_diagonal_factors():
+        if isinstance(f, HarperPhase):
+            a, b = 0, f.period
+        else:
+            a, b = f.cycles.numerator, f.cycles.denominator
+        sites = np.arange(-2 * b, 4 * b, dtype=np.int64)
+        base = f.values(sites)
+        for m in (1, 2):
+            jump = (-1) ** (a * b * m % 2)
+            assert f.jump(m * b) == jump, (f, m)
+            shifted = f.values(sites + m * b)
+            if jump == 1:
+                assert np.array_equal(shifted, base), (f, m)
+            else:
+                # the table's two halves are rounded separately, so a sign
+                # flip is exact only to the last bit
+                assert np.max(np.abs(shifted + base)) <= 4e-15, (f, m)
+        if isinstance(f, HarperPhase) and f.strength == 0.0:
+            continue                    # constant table: every shift is a jump
+        for d in range(1, b):
+            assert f.jump(d) is None
+            ratio = f.values(sites + d) / base
+            assert np.max(np.abs(ratio - ratio[0])) > 1e-6, (f, d)
+
+
+def test_folded_models_commute_with_translation_by_the_folded_period():
+    """The dense operator on a 2P-site ring commutes with translation by P/2
+    for every model of the sweep that bloch_fold folds (P = lattice_period)."""
+    folded = set()
+    for model in period_sweep_models():
+        if spectrum.bloch_fold(model) == 1:
+            continue
+        folded.add((model.kind, model.resonance_order))
+        period = lattice_period(model)
+        ring = quantum._apply_period(model, np.eye(2 * period, dtype=np.complex128), 0).T
+        shift = np.roll(np.eye(2 * period), period // 2, axis=0)
+        assert np.max(np.abs(shift @ ring - ring @ shift)) <= 1e-13, model
+    assert (DKRM_RESONANT, (1, 1)) in folded and (DKRM_GENERAL, (1, 1)) in folded
+    assert all(kind != KHM for kind, _ in folded)
+    fib = parse_effective_planck("2pi*89/233")
+    assert spectrum.bloch_fold(ModelSpec(DKRM_RESONANT, 1.0, 1.0, fib)) == 2
+    assert spectrum.bloch_fold(ModelSpec(KHM, 1.0, 1.0, fib)) == 1
 
 
 # ── theta grid ─────────────────────────────────────────────────────────────
@@ -308,6 +363,38 @@ def test_bloch_matrix_equals_the_kick_band_sum(model):
         block = build_bloch_matrix(model, theta).matrix
         ref = band_sum_bloch_matrix(model, theta)
         assert np.max(np.abs(block - ref)) < 1e-12
+
+
+DIFFERENTIAL_THETAS = np.array([0.0, 0.37, math.pi, 4.4])
+
+
+def differential_models():
+    for kind, resonance in [(KHM, None), (DKRM_RESONANT, None)] + [
+            (DKRM_GENERAL, res) for res in [(1, 2), (1, 3), (3, 4), (1, 4)]]:
+        for r in scan_rationals(kind, 11):
+            yield model_from_ratios(kind, 1.0, 0.5, r.num, r.den, resonance)
+    fib = parse_effective_planck("2pi*89/233")
+    for kind in (KHM, DKRM_RESONANT):
+        yield ModelSpec(kind, 1.0, 1.0, fib)
+
+
+def test_folded_stacked_spectra_equal_the_unfolded_blocks(no_fallback):
+    """model_spectrum (and the stack at arbitrary angles) against one
+    unfolded lattice_period block per angle, solved on its own."""
+    folds = set()
+    for model in differential_models():
+        period = lattice_period(model)
+        folds.add(spectrum.bloch_fold(model))
+        spec = model_spectrum(model, 4)
+        assert [sl.theta for sl in spec.slices] == list(theta_grid(4))
+        stacked = [sl.energies for sl in spec.slices]
+        stacked += list(spectrum._bloch_spectra(model, DIFFERENTIAL_THETAS))
+        thetas = list(theta_grid(4)) + list(DIFFERENTIAL_THETAS)
+        for theta, eps in zip(thetas, stacked):
+            assert eps.shape == (period,), (model, theta)
+            ref = quasienergies(build_bloch_matrix(model, theta))
+            assert spectrum_set_distance(eps, ref) <= 1e-12, (model, theta)
+    assert folds == {1, 2}
 
 
 def test_bloch_spectrum_is_independent_of_theta_sign():

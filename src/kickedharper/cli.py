@@ -24,23 +24,14 @@ from .analysis import (DEFAULT_BOX_SCALES, LOCALIZED, MIN_BOX_POINTS,
 from .classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
                         equivalence_residual, trajectory)
 from .errors import ConfigError, NumericalError, ResourceLimitError
-from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Wavepacket,
+from .lattice import (KHM, TWO_PI, ModelSpec, Wavepacket,
                       farey_sequence, parse_effective_planck)
 from .quantum import evolve
 from .spectrum import (butterfly_scan, check_symmetry_claims, lattice_period,
                        model_spectrum)
 
 WORKERS_ENV = "KICKEDHARPER_WORKERS"
-
-_COMMON_KEYS = {"command", "output_prefix", "workers", "model"}
-_MODEL_KEYS = {"kind", "k1", "k2", "hbar", "resonance"}
-
-# hbar rules: a scan command picks hbar itself and reads k1, k2 as the ratios
-# k/hbar; evolve takes any hbar; fractal needs the exact '2pi*num/den' form.
-NO_HBAR, ANY_HBAR, EXACT_HBAR = "none", "any", "exact"
-# a scan command's model holds the ratios as k1, k2 at this placeholder hbar;
-# its runner reads only kind, k1, k2 and resonance
-_PLACEHOLDER_HBAR = EffPlanck.from_rational(1, 1)
+REQUIRED = object()   # the default of a key that a config must give
 
 
 # ── config parsing ─────────────────────────────────────────────────────────
@@ -57,7 +48,9 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# knob checks: (predicate, what a valid value is)
+# value checks: (predicate, what a valid value is)
+_TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _COUNT = (_is_int, "an integer >= 1")
 _SEED = (lambda v: _is_int(v, 0), "an integer >= 0")
 _FIT_WINDOW = (lambda v: isinstance(v, list) and len(v) == 2
@@ -66,93 +59,80 @@ _FIT_WINDOW = (lambda v: isinstance(v, list) and len(v) == 2
 _SCALES = (lambda v: isinstance(v, list) and len(v) >= 4 and all(map(_is_int, v)),
            "a list of >= 4 positive integer box counts")
 _TOLERANCE = (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)")
+_REAL = (_is_real, "a number")
+_RESONANCE = (lambda v: v is None or isinstance(v, list) and len(v) == 2
+              and all(map(_is_int, v)), "a pair of positive integers")
+_PRINCIPAL = (lambda v: v is None or v == [1, 1] and all(map(_is_int, v)),
+              "[1, 1], as the command is defined at the principal resonance only")
+_HBAR = (lambda v: isinstance(v, str) or _is_real(v), "a number or '2pi*num/den'")
+_RATIONAL_HBAR = (lambda v: isinstance(v, str), "in the exact '2pi*num/den' form")
+
+# schemas {key: (check, default)}.  A scan command's model has no hbar: the
+# command picks hbar itself and reads k1, k2 as the ratios k/hbar, so its
+# ModelSpec holds them at this placeholder hbar, which its runner never reads.
+_PLACEHOLDER_HBAR = "2pi*1"
+_RUN = {"command": (_TEXT, REQUIRED), "output_prefix": (_TEXT, REQUIRED),
+        "workers": (_COUNT, 1), "model": (_OBJECT, REQUIRED)}
+_MODEL = {"kind": (_TEXT, REQUIRED), "k1": (_REAL, REQUIRED),
+          "k2": (_REAL, REQUIRED), "resonance": (_RESONANCE, None)}
+_PRINCIPAL_MODEL = {**_MODEL, "resonance": (_PRINCIPAL, None)}
+
+
+def _checked(obj: dict, schema: dict, command: str, prefix: str = "") -> dict:
+    """obj checked against schema, defaults filled in; prefix is its path in messages."""
+    unknown = sorted(prefix + key for key in set(obj) - set(schema))
+    if unknown:
+        _fail(f"unknown keys for {command}: {unknown}")
+    values = {}
+    for key, ((ok, what), default) in schema.items():
+        if key not in obj and default is REQUIRED:
+            _fail(f"{prefix}{key} is required for {command}, as {what}")
+        if key in obj and not ok(obj[key]):
+            _fail(f"{prefix}{key} must be {what}")
+        values[key] = obj.get(key, default)
+    return values
 
 
 class _Command(NamedTuple):
     """What a command accepts and which function runs it."""
 
-    hbar: str                 # NO_HBAR, ANY_HBAR or EXACT_HBAR
-    principal_only: bool      # only resonance (1, 1), which every khm model has
+    model: dict               # {model field: (check, default)}
     knobs: dict               # {knob: (check, default)}
     run: Callable             # run(model, knobs, prefix) -> exit code
 
 
-def _parse_model(obj, command: str, spec: _Command) -> ModelSpec:
-    if not isinstance(obj, dict):
-        _fail("model must be a JSON object")
-    unknown = sorted(set(obj) - _MODEL_KEYS)
-    if unknown:
-        _fail(f"unknown model keys: {unknown}")
-    for key in ("k1", "k2"):
-        if not _is_real(obj.get(key)):
-            _fail(f"model.{key} must be a number")
-    resonance = obj.get("resonance")
-    if resonance is not None:
-        if not (isinstance(resonance, list) and len(resonance) == 2
-                and all(map(_is_int, resonance))):
-            _fail("model.resonance must be a pair of positive integers")
-    hbar = obj.get("hbar")
-    if spec.hbar == NO_HBAR and "hbar" in obj:
-        _fail(f"{command} chooses hbar itself; drop model.hbar "
-              "(k1 and k2 are read as ratios k/hbar)")
-    if spec.hbar != NO_HBAR and not (isinstance(hbar, str) or _is_real(hbar)):
-        _fail(f"model.hbar is required for {command}, as a number or '2pi*num/den'")
+def _parse_run(cfg: dict):
+    """A config's runner, model and knobs (top-level keys included), checked."""
+    command = cfg.get("command")   # checked first: it picks the knobs
+    if not (isinstance(command, str) and command in _COMMANDS):
+        _fail(f"command must be one of {sorted(_COMMANDS)}")
+    spec = _COMMANDS[command]
+    knobs = _checked(cfg, {**_RUN, **spec.knobs}, command)
+    fields = _checked(knobs["model"], spec.model, command, "model.")
     try:
-        hbar = (_PLACEHOLDER_HBAR if spec.hbar == NO_HBAR
-                else parse_effective_planck(hbar))
-        model = ModelSpec(obj.get("kind"), float(obj["k1"]), float(obj["k2"]),
-                          hbar, resonance)
-    except ValueError as exc:
+        model = ModelSpec(fields["kind"], float(fields["k1"]), float(fields["k2"]),
+                          parse_effective_planck(fields.get("hbar", _PLACEHOLDER_HBAR)),
+                          fields["resonance"])
+    except (ValueError, OverflowError) as exc:   # OverflowError: ints past float range
         _fail(str(exc))
-    if spec.hbar == EXACT_HBAR and hbar.rational_part is None:
-        _fail(f"{command} needs model.hbar in the exact '2pi*num/den' form")
-    if spec.principal_only and model.resonance_order != (1, 1):
-        _fail(f"{command} is defined at the principal resonance (1, 1) only")
-    return model
-
-
-def _parse_knobs(cfg: dict, schema: dict) -> dict:
-    knobs = {}
-    for key, ((ok, what), default) in schema.items():
-        if key in cfg and not ok(cfg[key]):
-            _fail(f"{key} must be {what}")
-        knobs[key] = cfg.get(key, default)
-    return knobs
+    return spec.run, model, knobs
 
 
 def load_config(path: str) -> dict:
     """Read and minimally shape-check a JSON run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         _fail(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        _fail(f"config is not valid JSON: {exc}")
+    except ValueError as exc:   # undecodable bytes or malformed JSON
+        _fail(f"config is not valid UTF-8 JSON: {exc}")
     if not isinstance(cfg, dict):
         _fail("config must be a JSON object")
     return cfg
 
 
-def _validate_top_level(cfg: dict) -> str:
-    command = cfg.get("command")
-    if command not in _COMMANDS:
-        _fail(f"command must be one of {sorted(_COMMANDS)}")
-    allowed = _COMMON_KEYS | set(_COMMANDS[command].knobs)
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        _fail(f"unknown config keys for {command}: {unknown}")
-    prefix = cfg.get("output_prefix")
-    if not isinstance(prefix, str) or not prefix:
-        _fail("output_prefix must be a non-empty string")
-    return command
-
-
 # ── output helpers ─────────────────────────────────────────────────────────
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
 
 def _open_output(path: str, newline: str | None = None):
     """Open an output file for writing, creating its directory on first use."""
@@ -160,11 +140,10 @@ def _open_output(path: str, newline: str | None = None):
     return open(path, "w", newline=newline)
 
 
-def _write_csv(path: str, header: str, rows):
+def _write_csv(path: str, header: str, row_format: str, rows):
     with _open_output(path, newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(row_format % row for row in rows)
 
 
 def _write_json(path: str, payload: dict):
@@ -220,18 +199,16 @@ fig.savefig(out, dpi=200)
 print(out)
 '''
 
+# each CSV's header and row format, floats at 17 significant digits
 SPECTRUM_HEADER = "hbar_num,hbar_den,hbar,theta,quasienergy"
+SPECTRUM_ROW = "%d,%d,%.17g,%.17g,%.17g\n"
 DIFFUSION_HEADER = "step,variance,edge_mass"
+DIFFUSION_ROW = "%d,%.17g,%.17g\n"
 
 
-def _write_plot(prefix: str, template: str, csv_name: str):
+def _write_plot(prefix: str, template: str, csv_path: str):
     with _open_output(prefix + "_plot.py") as fh:
-        fh.write(template.replace("@CSV@", csv_name))
-
-
-def _spectrum_rows(spectrum):
-    for num, den, hbar, theta, eps in spectrum.rows():
-        yield (str(num), str(den), _fmt(hbar), _fmt(theta), _fmt(eps))
+        fh.write(template.replace("@CSV@", os.path.basename(csv_path)))
 
 
 # ── commands ───────────────────────────────────────────────────────────────
@@ -240,9 +217,9 @@ def run_butterfly(model: ModelSpec, knobs: dict, prefix: str) -> int:
     spectrum = butterfly_scan(model.kind, model.k1, model.k2, knobs["s_max"],
                               knobs["theta_count"], window_cycles=knobs["window_cycles"],
                               resonance=model.resonance, workers=knobs["workers"])
-    csv_name = os.path.basename(prefix) + "_spectrum.csv"
-    _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, _spectrum_rows(spectrum))
-    _write_plot(prefix, _SPECTRUM_PLOT, csv_name)
+    _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, SPECTRUM_ROW,
+               spectrum.rows())
+    _write_plot(prefix, _SPECTRUM_PLOT, prefix + "_spectrum.csv")
     return 0
 
 
@@ -257,9 +234,8 @@ def run_evolve(model: ModelSpec, knobs: dict, prefix: str) -> int:
               "the power-law fit needs >= 10")
     psi0 = Wavepacket.delta(l0=0, n_sites=256, hbar_eff=model.hbar_eff)
     series = evolve(model, psi0, n_steps, record_every)
-    rows = ((str(int(t)), _fmt(v), _fmt(m))
-            for t, v, m in zip(series.steps, series.variance, series.leak))
-    _write_csv(prefix + "_diffusion.csv", DIFFUSION_HEADER, rows)
+    _write_csv(prefix + "_diffusion.csv", DIFFUSION_HEADER, DIFFUSION_ROW,
+               zip(series.steps, series.variance, series.leak))
     if series.variance.any():
         fit = fit_power_law(series, (window[0], window[1]))
         alpha, label = fit.alpha, classify_transport(fit, series)
@@ -273,7 +249,7 @@ def run_evolve(model: ModelSpec, knobs: dict, prefix: str) -> int:
         "window": [float(window[0]), float(window[1])],
         "final_norm": series.final_norm,
     })
-    _write_plot(prefix, _DIFFUSION_PLOT, os.path.basename(prefix) + "_diffusion.csv")
+    _write_plot(prefix, _DIFFUSION_PLOT, prefix + "_diffusion.csv")
     return 0
 
 
@@ -292,8 +268,8 @@ def run_classical(model: ModelSpec, knobs: dict, prefix: str) -> int:
     start = PhasePoint(float(rng.uniform(0.0, TWO_PI)),
                        float(rng.uniform(0.0, TWO_PI)))
     traj = trajectory(map_kind, start, n_steps, k1, k2)
-    rows = ((str(i), _fmt(pt.q), _fmt(pt.p)) for i, pt in enumerate(traj))
-    _write_csv(prefix + "_trajectory.csv", "step,q,p", rows)
+    _write_csv(prefix + "_trajectory.csv", "step,q,p", "%d,%.17g,%.17g\n",
+               ((i, pt.q, pt.p) for i, pt in enumerate(traj)))
     _write_json(prefix + "_classical.json", {
         "map_equivalence_max_residual": eq_res,
         "half_step_max_deviation": half_dev,
@@ -313,7 +289,8 @@ def run_fractal(model: ModelSpec, knobs: dict, prefix: str) -> int:
     spectrum = model_spectrum(model, knobs["theta_count"])
     energies = np.sort(np.concatenate([sl.energies for sl in spectrum.slices]))
     box = box_counting_dimension(energies, knobs["scales"])
-    _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, _spectrum_rows(spectrum))
+    _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, SPECTRUM_ROW,
+               spectrum.rows())
     _write_json(prefix + "_fractal.json", {
         "d0": box.d0,
         "rms_residual": box.rms_residual,
@@ -345,61 +322,57 @@ def run_check_symmetries(model: ModelSpec, knobs: dict, prefix: str) -> int:
 
 
 _COMMANDS = {
-    "butterfly": _Command(NO_HBAR, False, {
+    "butterfly": _Command(_MODEL, {
         "s_max": (_COUNT, 30), "theta_count": (_COUNT, 32),
         "window_cycles": (_COUNT, None)}, run_butterfly),
-    "evolve": _Command(ANY_HBAR, False, {
+    "evolve": _Command({**_MODEL, "hbar": (_HBAR, REQUIRED)}, {
         "n_steps": (_COUNT, 1000), "record_every": (_COUNT, 1),
         "fit_window": (_FIT_WINDOW, None)}, run_evolve),
-    "classical": _Command(NO_HBAR, True, {
+    "classical": _Command(_PRINCIPAL_MODEL, {
         "n_points": (_COUNT, 100000), "n_steps": (_COUNT, 200),
         "seed": (_SEED, 1234)}, run_classical),
-    "fractal": _Command(EXACT_HBAR, False, {
+    "fractal": _Command({**_MODEL, "hbar": (_RATIONAL_HBAR, REQUIRED)}, {
         "theta_count": (_COUNT, 64), "scales": (_SCALES, DEFAULT_BOX_SCALES)},
         run_fractal),
-    "check-symmetries": _Command(NO_HBAR, True, {
+    "check-symmetries": _Command(_PRINCIPAL_MODEL, {
         "s_max": (_COUNT, 20), "theta_count": (_COUNT, 16),
         "tolerance": (_TOLERANCE, 1e-8), "n_rationals": (_COUNT, 10)},
         run_check_symmetries),
 }
 
+# flags that override the config key of the same name (--s-max sets s_max)
+_FLAGS = {"command": {"choices": sorted(_COMMANDS)}, "output_prefix": {},
+          "workers": {"type": int}, "s_max": {"type": int},
+          "theta_count": {"type": int}, "n_steps": {"type": int},
+          "record_every": {"type": int}}
+
 
 # ── entry point ────────────────────────────────────────────────────────────
 
-def _parse_args(argv):
+def _parse_args(argv) -> tuple[str, dict]:
     ap = argparse.ArgumentParser(
         prog="kickedharper",
         description="Quasienergy butterflies and kicked-rotor transport runs "
                     "driven by a JSON configuration.")
     ap.add_argument("config", help="path to the JSON run configuration")
-    ap.add_argument("--command", choices=sorted(_COMMANDS))
-    ap.add_argument("--output-prefix")
-    ap.add_argument("--workers", type=int)
-    ap.add_argument("--s-max", type=int, dest="s_max")
-    ap.add_argument("--theta-count", type=int, dest="theta_count")
-    ap.add_argument("--n-steps", type=int, dest="n_steps")
-    ap.add_argument("--record-every", type=int, dest="record_every")
-    return ap.parse_args(argv)
+    for key, options in _FLAGS.items():
+        ap.add_argument("--" + key.replace("_", "-"), **options)
+    args = vars(ap.parse_args(argv))
+    return args.pop("config"), {k: v for k, v in args.items() if v is not None}
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    path, overrides = _parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(path)
         if os.environ.get(WORKERS_ENV):
             try:
                 cfg["workers"] = int(os.environ[WORKERS_ENV])
             except ValueError:
                 _fail(f"{WORKERS_ENV} must be an integer")
-        for key in ("command", "output_prefix", "workers", "s_max", "theta_count",
-                    "n_steps", "record_every"):
-            if getattr(args, key) is not None:
-                cfg[key] = getattr(args, key)
-        command = _validate_top_level(cfg)
-        spec = _COMMANDS[command]
-        model = _parse_model(cfg.get("model"), command, spec)
-        knobs = _parse_knobs(cfg, {"workers": (_COUNT, 1), **spec.knobs})
-        return spec.run(model, knobs, cfg["output_prefix"])
+        cfg.update(overrides)
+        run, model, knobs = _parse_run(cfg)
+        return run(model, knobs, knobs["output_prefix"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

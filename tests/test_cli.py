@@ -175,13 +175,14 @@ def test_module_entry_point_runs_the_config(tmp_path):
         "n_steps": 5,
     }
 
-    def run(config_path):
-        return run_python(["-m", "kickedharper.cli", config_path]).returncode
+    def run(*args):
+        return run_python(["-m", "kickedharper.cli", *args]).returncode
 
     assert run(write_config(tmp_path, "c.json", cfg)) == 0
     assert (tmp_path / "cl_trajectory.csv").is_file()
     assert (tmp_path / "cl_classical.json").is_file()
     assert run(str(tmp_path / "missing.json")) == 2
+    assert run(write_config(tmp_path, "c.json", cfg), "--command", "nope") == 2
 
 
 def test_every_command_runs_without_scipy(tmp_path):
@@ -290,6 +291,19 @@ def test_config_validation_failures_exit_two(tmp_path):
         {"command": "fractal", "output_prefix": str(new / "x"),  # 6 points
          "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": "2pi*1/3"},
          "theta_count": 2},
+        {**butterfly_config(new), "model": {"kind": "khm", "k1": "1.0", "k2": 1.0}},
+        {**butterfly_config(new), "model": {"kind": "khm", "k1": True, "k2": 1.0}},
+        {"command": "fractal", "output_prefix": str(new / "x"),
+         "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": 1.0}},
+        {**butterfly_config(new),
+         "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": None}},
+        {**butterfly_config(new), "model": [1]},
+        {k: v for k, v in butterfly_config(new).items() if k != "model"},
+        {**butterfly_config(new), "model": {"k1": 1.0, "k2": 1.0}},     # no kind
+        {**butterfly_config(new), "command": ["butterfly"]},             # unhashable
+        {**butterfly_config(new), "model": {"kind": "khm", "k1": 10**400, "k2": 1.0}},
+        {"command": "evolve", "output_prefix": str(new / "x"),
+         "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": f"2pi*1/{10**400}"}},
     ]
     for i, cfg in enumerate(bad):
         assert main([write_config(tmp_path, f"bad{i}.json", cfg)]) == 2, cfg
@@ -304,6 +318,26 @@ def test_unreadable_or_malformed_config_exits_two(tmp_path):
     listy = tmp_path / "listy.json"
     listy.write_text("[1, 2]")
     assert main([str(listy)]) == 2
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b'{"command": "butterfly\xff"}')
+    assert main([str(undecodable)]) == 2
+
+
+def test_model_fields_each_command_accepts_exit_zero(tmp_path):
+    model = {"kind": "khm", "k1": 1.0, "k2": 1.0, "resonance": None}
+    good = [
+        butterfly_config(tmp_path, prefix="bf", model=model),
+        {"command": "classical", "output_prefix": str(tmp_path / "cl"),
+         "model": model, "n_points": 100, "n_steps": 5},
+        {"command": "classical", "output_prefix": str(tmp_path / "gen"),
+         "model": {"kind": "dkrm-general", "k1": 1.0, "k2": 1.0, "resonance": [1, 1]},
+         "n_points": 100, "n_steps": 5},
+        {"command": "evolve", "output_prefix": str(tmp_path / "ev"),
+         "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0, "hbar": "2pi*3/19"},
+         "n_steps": 20},
+    ]
+    for i, cfg in enumerate(good):
+        assert main([write_config(tmp_path, f"good{i}.json", cfg)]) == 0, cfg
 
 
 def test_unwritable_output_prefix_exits_one(tmp_path):

@@ -14,16 +14,15 @@ from .errors import (ConfigError, LatticeOverflowError, NumericalError,
                      ResourceLimitError)
 from .lattice import (DKRM_GENERAL, DKRM_RESONANT, KHM, MODEL_KINDS,
                       EffPlanck, LabParams, ModelSpec, Rational, Wavepacket,
-                      best_rational_approx, edge_mass, farey_sequence,
-                      momentum_variance, parse_effective_planck,
-                      reduce_rational)
+                      edge_mass, farey_sequence, momentum_variance,
+                      parse_effective_planck)
 from .quantum import (DiffusionSeries, HarperPhase, KickCoefficients,
                       KickFactor, QuadraticPhase, apply_floquet, apply_kick,
                       apply_quadratic_phase, evolve, floquet_factors,
                       kick_coefficients)
-from .spectrum import (BlochMatrix, SpectrumSet, SpectrumSlice,
-                       SymmetryReport, aggregated_energies, build_bloch_matrix,
-                       butterfly_scan, check_symmetry_claims, lattice_period,
+from .spectrum import (SpectrumSet, SymmetryReport, aggregated_energies,
+                       build_bloch_matrix, butterfly_scan,
+                       check_symmetry_claims, lattice_period,
                        model_from_ratios, model_spectrum, quasienergies,
                        scan_rationals, theta_grid)
 

@@ -287,7 +287,7 @@ def run_fractal(model: ModelSpec, knobs: dict, prefix: str) -> int:
         _fail(f"the spectrum holds {n_points} points (lattice period x theta_count); "
               f"box counting needs >= {MIN_BOX_POINTS}")
     spectrum = model_spectrum(model, knobs["theta_count"])
-    energies = np.sort(np.concatenate([sl.energies for sl in spectrum.slices]))
+    energies = np.sort(spectrum.energies[0], axis=None)
     box = box_counting_dimension(energies, knobs["scales"])
     _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, SPECTRUM_ROW,
                spectrum.rows())

@@ -49,21 +49,6 @@ class Rational:
         return f"{self.num}/{self.den}"
 
 
-def reduce_rational(num: int, den: int) -> Rational:
-    """Reduce num/den to lowest terms with den >= 1."""
-    return Rational(num, den)
-
-
-def best_rational_approx(x: float, s_max: int) -> Rational:
-    """Closest fraction to x in (0,1) with denominator <= s_max (ties -> smaller den)."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
-    frac = Fraction(x).limit_denominator(s_max)
-    return Rational(frac.numerator, frac.denominator)
-
-
 def farey_sequence(s_max: int) -> list[Rational]:
     """All reduced fractions in (0, 1] with denominator <= s_max, ascending."""
     if s_max < 1:

@@ -32,10 +32,8 @@ COEFF_TOL = 1e-14
 class KickCoefficients:
     """Momentum-basis matrix elements c_m of e^{-i x cos q}, |m| <= cutoff."""
 
-    x: float
     cutoff: int
     coeffs: np.ndarray = field(repr=False)
-    tol: float = COEFF_TOL
 
     def coeff(self, m: int) -> complex:
         if abs(m) > self.cutoff:
@@ -66,7 +64,7 @@ def kick_coefficients(x: float, tol: float = COEFF_TOL) -> KickCoefficients:
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
     cutoff, coeffs = _kick_coefficients_cached(float(x), float(tol))
-    return KickCoefficients(float(x), cutoff, coeffs, float(tol))
+    return KickCoefficients(cutoff, coeffs)
 
 
 # ── Floquet factors ────────────────────────────────────────────────────────

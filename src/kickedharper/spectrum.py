@@ -11,8 +11,9 @@ quasi-energy butterflies.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -58,21 +59,10 @@ def theta_grid(count: int) -> np.ndarray:
 
 # ── Bloch blocks ───────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class BlochMatrix:
-    """One period x period unitary block of the Floquet operator at angle theta."""
-
-    period: int
-    theta: float
-    matrix: np.ndarray = field(repr=False)
-
-
-def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> BlochMatrix:
-    """The Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l,
+def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> np.ndarray:
+    """(P, P) Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l,
     P = lattice_period(model).  coeffs is ignored; some callers still pass it."""
-    period = lattice_period(model)
-    return BlochMatrix(period, float(theta),
-                       _bloch_stack(model, np.array([float(theta)]), period)[0])
+    return _bloch_stack(model, np.array([float(theta)]), lattice_period(model))[0]
 
 
 def _bloch_stack(model: ModelSpec, phis: np.ndarray, period: int) -> np.ndarray:
@@ -102,9 +92,9 @@ def _bloch_stack(model: ModelSpec, phis: np.ndarray, period: int) -> np.ndarray:
     return u
 
 
-def quasienergies(bloch: BlochMatrix) -> np.ndarray:
-    """Sorted eigenphases of the block, as epsilon in (-pi, pi] (see _stack_phases)."""
-    return _stack_phases(np.asarray(bloch.matrix)[None])[0]
+def quasienergies(u: np.ndarray) -> np.ndarray:
+    """Sorted eigenphases of a (P, P) unitary block, in (-pi, pi] (see _stack_phases)."""
+    return _stack_phases(np.asarray(u)[None])[0]
 
 
 def _stack_phases(u: np.ndarray) -> np.ndarray:
@@ -177,27 +167,22 @@ def _sorted_half_open(eps: np.ndarray) -> np.ndarray:
 
 # ── spectra over theta and over rationals ──────────────────────────────────
 
-@dataclass(frozen=True)
-class SpectrumSlice:
-    """Quasienergies of one Bloch block (fixed hbar_eff and theta)."""
-
-    hbar: EffPlanck
-    theta: float
-    energies: np.ndarray = field(repr=False)
-
-
 @dataclass
 class SpectrumSet:
-    """Slices of a scan, sorted by (hbar, theta); rows() yields CSV-ready tuples."""
+    """Quasienergies of the rationals hbars (ascending) at the Bloch angles thetas:
+    energies[i] is the (T, P_i) array of hbars[i], each row sorted; rows()
+    yields CSV-ready tuples sorted by (hbar, theta)."""
 
-    kind: str
-    slices: list
+    hbars: list
+    thetas: np.ndarray
+    energies: list
 
     def rows(self):
-        for sl in self.slices:
-            rp = sl.hbar.rational_part
-            for e in sl.energies:
-                yield (rp.num, rp.den, sl.hbar.value, sl.theta, float(e))
+        for hb, eps in zip(self.hbars, self.energies):
+            rp = hb.rational_part
+            for theta, row in zip(self.thetas, eps):
+                for e in row:
+                    yield (rp.num, rp.den, hb.value, float(theta), float(e))
 
 
 def model_from_ratios(kind: str, ratio1: float, ratio2: float, num: int, den: int,
@@ -222,9 +207,7 @@ def _bloch_spectra(model: ModelSpec, thetas: np.ndarray) -> np.ndarray:
 def model_spectrum(model: ModelSpec, theta_count: int) -> SpectrumSet:
     """Spectrum of one model over the full Bloch-angle grid."""
     thetas = theta_grid(theta_count)
-    slices = [SpectrumSlice(model.hbar_eff, float(th), eps)
-              for th, eps in zip(thetas, _bloch_spectra(model, thetas))]
-    return SpectrumSet(model.kind, slices)
+    return SpectrumSet([model.hbar_eff], thetas, [_bloch_spectra(model, thetas)])
 
 
 def aggregated_energies(model: ModelSpec, theta_count: int) -> np.ndarray:
@@ -257,7 +240,8 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
 
     ratio1 and ratio2 are the kick strengths in units of hbar_eff, held fixed
     across the scan so every rational shares the same kick profile.  Results
-    are sorted by (hbar_eff, theta) and do not depend on the worker count.
+    are sorted by (hbar_eff, theta) and do not depend on the worker count,
+    which is capped at the number of rationals and of CPUs.
     """
     for r in (ratio1, ratio2):
         if not (r >= 0 and math.isfinite(r)):
@@ -266,16 +250,16 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
         raise ValueError("workers must be >= 1")
     models = [model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
               for r in scan_rationals(kind, s_max, window_cycles)]
-    counts = [theta_count] * len(models)
-    if workers > 1 and len(models) > 1:
+    thetas = theta_grid(theta_count)
+    grids = [thetas] * len(models)
+    workers = min(workers, len(models), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            specs = list(pool.map(model_spectrum, models, counts,
-                                  chunksize=max(1, len(models) // (4 * workers))))
+            energies = list(pool.map(_bloch_spectra, models, grids,
+                                     chunksize=max(1, len(models) // (4 * workers))))
     else:
-        specs = list(map(model_spectrum, models, counts))
-    slices = sorted((sl for spec in specs for sl in spec.slices),
-                    key=lambda sl: (sl.hbar.value, sl.theta))
-    return SpectrumSet(kind, slices)
+        energies = list(map(_bloch_spectra, models, grids))
+    return SpectrumSet([m.hbar_eff for m in models], thetas, energies)
 
 
 # ── symmetry claims ────────────────────────────────────────────────────────

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from kickedharper import (EffPlanck, LabParams, ModelSpec, Rational,
-                          Wavepacket, best_rational_approx, edge_mass,
-                          farey_sequence, momentum_variance,
-                          parse_effective_planck, reduce_rational)
+                          Wavepacket, edge_mass, farey_sequence,
+                          momentum_variance, parse_effective_planck)
 from kickedharper.lattice import DKRM_GENERAL, DKRM_RESONANT, KHM, TWO_PI
 
 
@@ -19,7 +18,7 @@ def test_rational_reduces_and_normalizes_sign():
     assert Rational(6, 4) == Rational(3, 2)
     assert Rational(-3, -6) == Rational(1, 2)
     assert str(Rational(10, 15)) == "2/3"
-    assert reduce_rational(8, 12) == Rational(2, 3)
+    assert Rational(8, 12) == Rational(2, 3)
     assert Rational(5, 7).value == pytest.approx(5 / 7, abs=0)
     assert Rational(5, 7).as_fraction() == Fraction(5, 7)
 
@@ -32,39 +31,6 @@ def test_rational_rejects_undefined_and_negative():
     assert Rational(0, 3) == Rational(0, 1)
     with pytest.raises(ValueError):
         Rational(2, -4)  # sign moves to the numerator, ratio is negative
-
-
-def test_best_rational_approx_matches_exhaustive_search():
-    rng = np.random.default_rng(7)
-    for s_max in (1, 2, 7, 23, 40):
-        for x in rng.uniform(1e-3, 1 - 1e-3, 40):
-            got = best_rational_approx(x, s_max)
-            # brute force: closest fraction, ties to smaller denominator
-            best = None
-            for den in range(1, s_max + 1):
-                for num in range(0, den + 1):
-                    err = abs(x - num / den)
-                    if best is None or err < best[0] - 1e-18:
-                        best = (err, Fraction(num, den))
-                    elif abs(err - best[0]) <= 1e-18 and Fraction(num, den) != best[1]:
-                        if Fraction(num, den).denominator < best[1].denominator:
-                            best = (err, Fraction(num, den))
-            assert got.as_fraction() == best[1], (x, s_max)
-
-
-def test_best_rational_approx_prefers_smaller_denominator_on_ties():
-    # 1/2 is equidistant from 5/12 and 7/12 within denominator 12
-    assert best_rational_approx(0.5, 12) == Rational(1, 2)
-    assert best_rational_approx(89 / 233, 233) == Rational(89, 233)
-
-
-def test_best_rational_approx_domain():
-    with pytest.raises(ValueError):
-        best_rational_approx(0.0, 5)
-    with pytest.raises(ValueError):
-        best_rational_approx(1.0, 5)
-    with pytest.raises(ValueError):
-        best_rational_approx(0.5, 0)
 
 
 def test_farey_sequence_is_complete_sorted_and_reduced():

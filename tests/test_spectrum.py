@@ -1,6 +1,7 @@
 """Bloch reduction against a dense ring oracle, scan plumbing, symmetries."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from kickedharper import (
     DKRM_GENERAL,
     DKRM_RESONANT,
     KHM,
-    BlochMatrix,
     ConfigError,
     EffPlanck,
     HarperPhase,
@@ -205,8 +205,8 @@ def test_list_resonance_is_stored_as_a_tuple():
     listed = ModelSpec(DKRM_GENERAL, 1.0, 2.0, hb, [1, 2])
     paired = ModelSpec(DKRM_GENERAL, 1.0, 2.0, hb, (1, 2))
     assert listed == paired and hash(listed) == hash(paired)
-    assert np.array_equal(build_bloch_matrix(listed, 0.7).matrix,
-                          build_bloch_matrix(paired, 0.7).matrix)
+    assert np.array_equal(build_bloch_matrix(listed, 0.7),
+                          build_bloch_matrix(paired, 0.7))
     scans = [butterfly_scan(DKRM_GENERAL, 1.0, 0.5, 2, 2, resonance=res)
              for res in ([1, 2], (1, 2))]
     assert list(scans[0].rows()) == list(scans[1].rows())
@@ -237,22 +237,22 @@ def test_one_by_one_block_matches_closed_form():
 
 
 def test_quasienergies_wrap_into_the_half_open_interval():
-    eps = quasienergies(BlochMatrix(1, 0.0, np.array([[-1.0 + 0j]])))
+    eps = quasienergies(np.array([[-1.0 + 0j]]))
     assert eps[0] == pytest.approx(np.pi)
     with pytest.raises(NumericalError):
-        quasienergies(BlochMatrix(1, 0.0, np.array([[0.5 + 0j]])))
+        quasienergies(np.array([[0.5 + 0j]]))
 
 
 # ── Cayley eigen-solve against the dense eigvals oracle ────────────────────
 
-def assert_matches_oracle(bloch):
-    before = bloch.matrix.copy()
-    eps = quasienergies(bloch)
-    assert np.array_equal(bloch.matrix, before)         # input left untouched
-    assert eps.shape == (bloch.period,)
+def assert_matches_oracle(block):
+    before = block.copy()
+    eps = quasienergies(block)
+    assert np.array_equal(block, before)                # input left untouched
+    assert eps.shape == (len(block),)
     assert np.all(np.diff(eps) >= 0)
     assert np.all((eps > -np.pi) & (eps <= np.pi))
-    assert spectrum_set_distance(eps, eigvals_phases(bloch.matrix)) <= 1e-12
+    assert spectrum_set_distance(eps, eigvals_phases(block)) <= 1e-12
 
 
 SOLVER_THETAS = (0.0, math.pi / 2, math.pi, 4.4)
@@ -275,9 +275,9 @@ def test_cayley_solve_matches_eigvals_over_a_scan(kind, resonance, ratios, no_fa
     for r in scan_rationals(kind, 11):
         model = model_from_ratios(kind, *ratios, r.num, r.den, resonance)
         for theta in SOLVER_THETAS:
-            bloch = build_bloch_matrix(model, theta)
-            periods.add(bloch.period)
-            assert_matches_oracle(bloch)
+            block = build_bloch_matrix(model, theta)
+            periods.add(len(block))
+            assert_matches_oracle(block)
     if kind == KHM:
         assert 1 in periods                                 # the 1/1 blocks
 
@@ -287,9 +287,9 @@ def test_cayley_solve_matches_eigvals_at_the_fibonacci_rational(kind, period,
                                                               no_fallback):
     model = ModelSpec(kind, 1.0, 1.0, parse_effective_planck("2pi*89/233"))
     for theta in (0.0, 4.4):
-        bloch = build_bloch_matrix(model, theta)
-        assert bloch.period == period
-        assert_matches_oracle(bloch)
+        block = build_bloch_matrix(model, theta)
+        assert block.shape == (period, period)
+        assert_matches_oracle(block)
 
 
 def test_eigenphase_at_the_first_pole_forces_one_re_solve(monkeypatch, no_fallback):
@@ -302,8 +302,7 @@ def test_eigenphase_at_the_first_pole_forces_one_re_solve(monkeypatch, no_fallba
 
     monkeypatch.setattr(spectrum, "_cayley_phases", spy)
     eps = np.array([-2.5, 0.3, spectrum.CAYLEY_POLE, 2.9])
-    bloch = BlochMatrix(4, 0.0, np.diag(np.exp(-1j * eps)))
-    assert_matches_oracle(bloch)
+    assert_matches_oracle(np.diag(np.exp(-1j * eps)))
     assert len(poles) == 2 and poles[0] == spectrum.CAYLEY_POLE
     assert abs(poles[1] - (-2.5 + 0.3) / 2) < 1e-12      # the widest gap
 
@@ -319,10 +318,10 @@ def test_failed_moment_check_falls_back_to_eigvals(monkeypatch):
     monkeypatch.setattr(spectrum, "_eigvals_phases", spy)
     # eigenvalues 1 and -1 lie on the unit circle, but the block is not
     # normal, so its Cayley transform is not Hermitian
-    bloch = BlochMatrix(2, 0.0, np.array([[1.0, 0.0], [5.0, -1.0]], dtype=complex))
-    eps, _ = spectrum._cayley_phases(bloch.matrix, spectrum.CAYLEY_POLE)
-    assert not spectrum._moments_match(bloch.matrix, eps)
-    assert np.allclose(quasienergies(bloch), [0.0, np.pi], atol=1e-12)
+    block = np.array([[1.0, 0.0], [5.0, -1.0]], dtype=complex)
+    eps, _ = spectrum._cayley_phases(block, spectrum.CAYLEY_POLE)
+    assert not spectrum._moments_match(block, eps)
+    assert np.allclose(quasienergies(block), [0.0, np.pi], atol=1e-12)
     assert fallbacks == [(2, 2)]
 
 
@@ -360,7 +359,7 @@ def band_sum_bloch_matrix(model, theta):
 ])
 def test_bloch_matrix_equals_the_kick_band_sum(model):
     for theta in (0.0, 0.37, 1.9, math.pi, 4.4, -2.2):
-        block = build_bloch_matrix(model, theta).matrix
+        block = build_bloch_matrix(model, theta)
         ref = band_sum_bloch_matrix(model, theta)
         assert np.max(np.abs(block - ref)) < 1e-12
 
@@ -386,8 +385,9 @@ def test_folded_stacked_spectra_equal_the_unfolded_blocks(no_fallback):
         period = lattice_period(model)
         folds.add(spectrum.bloch_fold(model))
         spec = model_spectrum(model, 4)
-        assert [sl.theta for sl in spec.slices] == list(theta_grid(4))
-        stacked = [sl.energies for sl in spec.slices]
+        assert spec.hbars == [model.hbar_eff] and len(spec.energies) == 1
+        assert np.array_equal(spec.thetas, theta_grid(4))
+        stacked = list(spec.energies[0])
         stacked += list(spectrum._bloch_spectra(model, DIFFERENTIAL_THETAS))
         thetas = list(theta_grid(4)) + list(DIFFERENTIAL_THETAS)
         for theta, eps in zip(thetas, stacked):
@@ -427,21 +427,63 @@ def test_model_from_ratios_scales_kicks_with_planck():
 
 
 def test_butterfly_scan_rows_are_sorted_and_complete():
+    """Rows come out in (hbar, theta) order with no sort of their own: the
+    rationals and the theta grid both ascend."""
     spec = butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=4)
-    rows = list(spec.rows())
-    assert len(rows) == sum(den for _, den in
-                            [(1, 3), (1, 2), (2, 3), (1, 1)]) * 4
-    keys = [(r[2], r[3]) for r in rows]
-    assert keys == sorted(keys)
+    assert len(list(spec.rows())) == sum(den for _, den in
+                                         [(1, 3), (1, 2), (2, 3), (1, 1)]) * 4
+    for kind, resonance in [(KHM, None), (DKRM_RESONANT, None), (DKRM_GENERAL, (1, 2))]:
+        for cycles in (None, 1, 3):
+            spec = butterfly_scan(kind, 1.0, 0.5, 3, theta_count=4,
+                                  window_cycles=cycles, resonance=resonance)
+            rationals = scan_rationals(kind, 3, cycles)
+            assert [hb.rational_part for hb in spec.hbars] == rationals
+            periods = [lattice_period(model_from_ratios(kind, 1.0, 0.5, r.num, r.den,
+                                                        resonance)) for r in rationals]
+            assert [e.shape for e in spec.energies] == [(4, p) for p in periods]
+            rows = list(spec.rows())
+            assert len(rows) == sum(periods) * 4, (kind, cycles)
+            keys = [(r[2], r[3]) for r in rows]
+            assert all(a <= b for a, b in zip(keys, keys[1:])), (kind, cycles)
 
 
 def test_butterfly_scan_is_worker_count_invariant():
     a = butterfly_scan(DKRM_RESONANT, 0.9, 0.4, 2, theta_count=3)
     b = butterfly_scan(DKRM_RESONANT, 0.9, 0.4, 2, theta_count=3, workers=2)
-    assert len(a.slices) == len(b.slices)
-    for sa, sb in zip(a.slices, b.slices):
-        assert sa.hbar.value == sb.hbar.value and sa.theta == sb.theta
-        assert np.array_equal(sa.energies, sb.energies)
+    assert a.hbars == b.hbars and np.array_equal(a.thetas, b.thetas)
+    assert len(a.energies) == len(b.energies)
+    for ea, eb in zip(a.energies, b.energies):
+        assert np.array_equal(ea, eb)
+
+
+def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(spectrum, "ProcessPoolExecutor", RecordingPool)
+    serial = list(butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2).rows())
+    assert len(scan_rationals(KHM, 3)) == 4
+    for cpus, workers, expected in [(3, 100_000, [3]), (64, 100_000, [4]),
+                                    (8, 2, [2]), (None, 100_000, []), (1, 5, [])]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        created.clear()
+        rows = list(butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2, workers=workers).rows())
+        assert created == expected, (cpus, workers)
+        assert rows == serial
 
 
 def test_butterfly_scan_rejects_bad_arguments():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,12 +42,12 @@ class KickCoefficients:
 
 
 @lru_cache(maxsize=64)
-def _kick_coefficients_cached(x: float, tol: float):
+def _kick_coefficients_cached(x: float):
     n_grid = 1 << max(9, math.ceil(math.log2(8 * (math.ceil(x) + 64))))
     grid = TWO_PI * np.arange(n_grid) / n_grid
     c = np.fft.fft(np.exp(-1j * x * np.cos(grid))) / n_grid
     mags = np.abs(c[: n_grid // 2 + 1])
-    above = np.nonzero(mags >= tol)[0]
+    above = np.nonzero(mags >= COEFF_TOL)[0]
     cutoff = int(above.max(initial=0))
     if cutoff >= n_grid // 2:
         raise NumericalError("kick coefficient tail reaches the sampling grid edge")
@@ -57,13 +57,11 @@ def _kick_coefficients_cached(x: float, tol: float):
     return cutoff, coeffs
 
 
-def kick_coefficients(x: float, tol: float = COEFF_TOL) -> KickCoefficients:
-    """Coefficients of the kick in the momentum basis, cut off once below tol."""
+def kick_coefficients(x: float) -> KickCoefficients:
+    """Coefficients of the kick in the momentum basis, cut off once below COEFF_TOL."""
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError("x must be finite and >= 0")
-    if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
-    cutoff, coeffs = _kick_coefficients_cached(float(x), float(tol))
+    cutoff, coeffs = _kick_coefficients_cached(float(x))
     return KickCoefficients(cutoff, coeffs)
 
 
@@ -176,8 +174,10 @@ def _kick_table(strength: float, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _diagonal_table(factor, l_min: int, n: int) -> np.ndarray:
-    table = factor.values(np.arange(l_min, l_min + n, dtype=np.int64))
+def _diagonal_table(factors: tuple, l_min: int, n: int) -> np.ndarray:
+    """Product of the factors' values at sites l_min..l_min+n-1; read-only (shared)."""
+    sites = np.arange(l_min, l_min + n, dtype=np.int64)
+    table = reduce(np.multiply, [f.values(sites) for f in factors])
     table.flags.writeable = False
     return table
 
@@ -188,50 +188,45 @@ def apply_kick(psi: Wavepacket, x: float) -> Wavepacket:
     Equals banded convolution with kick_coefficients(|x|) as long as the
     state keeps clear of the lattice edges (circular wrap otherwise).
     """
-    out = np.fft.fft(np.fft.ifft(psi.amps) * _kick_table(x, psi.n_sites))
-    return psi.with_amps(out)
+    return psi.with_amps(_apply_period([(_kick_table(x, psi.n_sites), ())], psi.amps))
 
 
 def apply_quadratic_phase(psi: Wavepacket, tau: float,
                           cycles: Fraction | None = None) -> Wavepacket:
     """Multiply amplitudes by e^{-i tau l^2 / 2} sitewise."""
-    table = _diagonal_table(QuadraticPhase(tau, cycles), psi.l_min, psi.n_sites)
+    table = _diagonal_table((QuadraticPhase(tau, cycles),), psi.l_min, psi.n_sites)
     return psi.with_amps(psi.amps * table)
 
 
 @lru_cache(maxsize=4)
 def _kernel_tables(model: ModelSpec, l_min: int, n: int) -> tuple:
-    """(op, table) pairs of one period; adjacent diagonal factors share one table."""
-    ops = []
+    """One period's steps on n sites from l_min: each kick, then one diagonal table."""
+    groups = []
     for f in floquet_factors(model):
         if isinstance(f, KickFactor):
-            ops.append(("kick", _kick_table(f.strength, n)))
-        elif ops and ops[-1][0] == "diag":
-            table = ops[-1][1] * _diagonal_table(f, l_min, n)
-            table.flags.writeable = False
-            ops[-1] = ("diag", table)
+            groups.append((f.strength, ()))
         else:
-            ops.append(("diag", _diagonal_table(f, l_min, n)))
-    return tuple(ops)
+            groups[-1] = (groups[-1][0], groups[-1][1] + (f,))
+    return tuple((_kick_table(x, n), (_diagonal_table(fs, l_min, n),)) for x, fs in groups)
 
 
-def _apply_period(model: ModelSpec, amps: np.ndarray, l_min: int) -> np.ndarray:
-    """One period along the last axis of a state or a stack of states from site l_min."""
-    for op, table in _kernel_tables(model, l_min, amps.shape[-1]):
-        if op == "kick":
-            amps = np.fft.fft(np.fft.ifft(amps) * table)
-        else:
+def _apply_period(steps, amps: np.ndarray) -> np.ndarray:
+    """Apply (kick table, diagonal tables) steps along the last axis of a state or stack."""
+    for kick, tables in steps:
+        amps = np.fft.fft(np.fft.ifft(amps) * kick)
+        for table in tables:
             amps = amps * table
     return amps
 
 
 def trigger_margin(model: ModelSpec, n_sites: int) -> int:
-    """Edge-sentinel width: combined kick bandwidth plus padding, clipped to fit."""
-    width = 8
-    for f in floquet_factors(model):
-        if isinstance(f, KickFactor):
-            width += kick_coefficients(abs(f.strength)).cutoff
-    return max(1, min(width, n_sites // 2 - 1))
+    """Edge-sentinel width: combined kick bandwidth plus 8, clipped to fit.  A cutoff is
+    at least floor(x) (J_m(x) > 0 for m <= x), so none is computed once floors fill it."""
+    width = n_sites // 2 - 1
+    xs = [abs(f.strength) for f in floquet_factors(model) if isinstance(f, KickFactor)]
+    if 8 + sum(math.floor(x) for x in xs) < width:
+        width = min(width, 8 + sum(kick_coefficients(x).cutoff for x in xs))
+    return max(1, width)
 
 
 def apply_floquet(model: ModelSpec, psi: Wavepacket, *,
@@ -242,7 +237,8 @@ def apply_floquet(model: ModelSpec, psi: Wavepacket, *,
     leak_threshold probability within trigger_margin sites of the lattice
     edge; the caller is expected to grow the lattice and retry.
     """
-    out = psi.with_amps(_apply_period(model, psi.amps, psi.l_min))
+    out = psi.with_amps(_apply_period(_kernel_tables(model, psi.l_min, psi.n_sites),
+                                      psi.amps))
     if edge_mass(out, trigger_margin(model, psi.n_sites)) > leak_threshold:
         raise LatticeOverflowError(
             f"edge mass beyond {leak_threshold:g} on a {psi.n_sites}-site lattice")
@@ -282,27 +278,31 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int,
     Growth is symmetric doubling with zero padding, and the step whose edge
     mass (within trigger_margin sites, fixed per lattice size) exceeds
     leak_threshold is retried on the larger lattice.  Records are taken at
-    step 0 and every record_every periods.
+    step 0 and every record_every periods.  psi0 must carry the model's hbar_eff.
     """
+    if abs(psi0.hbar_eff.value - model.hbar_eff.value) > 1e-14 * model.hbar_eff.value:
+        raise ValueError("psi0.hbar_eff differs from the model's hbar_eff")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     psi = psi0
     l0 = int(psi.l_min + np.argmax(np.abs(psi.amps)))
+    tables = _kernel_tables(model, psi.l_min, psi.n_sites)
     margin = trigger_margin(model, psi.n_sites)
     steps = [0]
     variance = [momentum_variance(psi, l0)]
     leak = [edge_mass(psi, margin)]
     for t in range(1, n_steps + 1):
-        nxt = psi.with_amps(_apply_period(model, psi.amps, psi.l_min))
+        nxt = psi.with_amps(_apply_period(tables, psi.amps))
         while (mass := edge_mass(nxt, margin)) > leak_threshold:
             if 2 * psi.n_sites > max_sites:
                 raise ResourceLimitError(
                     f"lattice would exceed {max_sites} sites at step {t}")
             psi = psi.doubled()
+            tables = _kernel_tables(model, psi.l_min, psi.n_sites)
             margin = trigger_margin(model, psi.n_sites)
-            nxt = psi.with_amps(_apply_period(model, psi.amps, psi.l_min))
+            nxt = psi.with_amps(_apply_period(tables, psi.amps))
         psi = nxt
         if t % record_every == 0:
             steps.append(t)

@@ -21,7 +21,7 @@ from numpy.linalg import _umath_linalg
 from .analysis import spectrum_set_distance
 from .errors import ConfigError, NumericalError
 from .lattice import KHM, TWO_PI, EffPlanck, ModelSpec, Rational, farey_sequence
-from .quantum import KickFactor, floquet_factors
+from .quantum import KickFactor, _apply_period, floquet_factors
 
 UNITARITY_TOL = 1e-8
 EIGENMOD_TOL = 1e-6
@@ -74,16 +74,16 @@ def _bloch_stack(model: ModelSpec, phis: np.ndarray, period: int) -> np.ndarray:
     The gauge is diag(e^{-i phi_end l/P}) on the left, diag(e^{i phi l/P}) on the right."""
     sites = np.arange(period)
     angle = phis[:, None, None]
-    u = np.eye(period, dtype=np.complex128)         # rows: images of the basis
+    steps = []
     for f in floquet_factors(model):
-        if isinstance(f, KickFactor):               # the first ifft is the DFT matrix
-            u = np.fft.fft(np.fft.ifft(u) * np.exp(
-                -1j * f.strength * np.cos((TWO_PI * sites + angle) / period)))
-        elif f.jump(period) == 1:
-            u = u * f.values(sites)
+        if isinstance(f, KickFactor):
+            kick = np.exp(-1j * f.strength * np.cos((TWO_PI * sites + angle) / period))
+            steps.append((kick, []))
         else:
-            u = u * (f.values(sites) * np.exp(-1j * np.pi * sites / period))
-            angle = angle - np.pi
+            arg = np.angle(f.jump(period))
+            steps[-1][1].append(f.values(sites) * np.exp(-1j * arg * sites / period))
+            angle = angle - arg
+    u = _apply_period(steps, np.eye(period, dtype=np.complex128))  # rows: basis images
     u = u.swapaxes(1, 2) * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)
     u *= np.exp(1j * phis[:, None, None] * sites / period)
     err = np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(period)), axis=(1, 2))

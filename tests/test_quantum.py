@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
+from kickedharper import quantum
 from kickedharper import (
     DKRM_GENERAL,
     DKRM_RESONANT,
@@ -90,8 +91,6 @@ def test_kick_coefficients_rejects_bad_input():
         kick_coefficients(-1.0)
     with pytest.raises(ValueError):
         kick_coefficients(float("nan"))
-    with pytest.raises(ValueError):
-        kick_coefficients(1.0, tol=0.0)
 
 
 # ── grid kick vs banded convolution ────────────────────────────────────────
@@ -416,3 +415,42 @@ def test_evolve_rejects_bad_arguments():
         evolve(model, Wavepacket.delta(hbar_eff=hb), 0)
     with pytest.raises(ValueError):
         evolve(model, Wavepacket.delta(hbar_eff=hb), 5, record_every=0)
+
+
+def test_evolve_rejects_a_wavepacket_at_another_hbar():
+    # the kernel runs at the model's hbar and momentum_variance at the state's,
+    # so a mismatch would scale every variance by (psi hbar / model hbar)^2
+    hb = parse_effective_planck("2pi*3/19")
+    model = ModelSpec(DKRM_RESONANT, 1.8, 1.8, hb)
+    for other in (EffPlanck(1.0), EffPlanck(hb.value * (1 + 1e-12))):
+        with pytest.raises(ValueError, match="hbar"):
+            evolve(model, Wavepacket.delta(hbar_eff=other), 5)
+    tagged = evolve(model, Wavepacket.delta(hbar_eff=hb), 5)
+    for same in (EffPlanck(hb.value), EffPlanck(hb.value * (1 + 4e-15))):
+        series = evolve(model, Wavepacket.delta(hbar_eff=same), 5)
+        assert np.allclose(series.variance, tagged.variance, rtol=1e-13, atol=0)
+
+
+def test_trigger_margin_is_the_clipped_kick_bandwidth():
+    # trigger_margin skips the coefficients once the floors of the strengths
+    # fill the clip; the sweep crosses that clip at every lattice size
+    hb = EffPlanck(1.0)
+    for x in np.arange(0.0, 530.0, 0.75):
+        for model in (ModelSpec(KHM, x, 0.3, hb), ModelSpec(DKRM_RESONANT, x, x / 2, hb)):
+            width = 8 + sum(kick_coefficients(f.strength).cutoff
+                            for f in floquet_factors(model) if isinstance(f, KickFactor))
+            for n in (16, 64, 256, 1024):
+                assert trigger_margin(model, n) == max(1, min(width, n // 2 - 1)), (x, n)
+
+
+def test_evolve_reaches_the_site_budget_without_kick_coefficients(monkeypatch):
+    # at a huge kick the coefficient grid grows with the strength; the lattice
+    # budget must stop evolve first (x = 3000 keeps a regression's grid small)
+    calls = []
+    real = quantum.kick_coefficients
+    monkeypatch.setattr(quantum, "kick_coefficients", lambda x: calls.append(x) or real(x))
+    hb = EffPlanck(1.0)
+    with pytest.raises(ResourceLimitError):
+        evolve(ModelSpec(KHM, 3000.0, 1.0, hb), Wavepacket.delta(n_sites=256, hbar_eff=hb),
+               5, max_sites=1024)
+    assert calls == []

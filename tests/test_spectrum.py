@@ -151,7 +151,8 @@ def test_folded_models_commute_with_translation_by_the_folded_period():
             continue
         folded.add((model.kind, model.resonance_order))
         period = lattice_period(model)
-        ring = quantum._apply_period(model, np.eye(2 * period, dtype=np.complex128), 0).T
+        steps = quantum._kernel_tables(model, 0, 2 * period)
+        ring = quantum._apply_period(steps, np.eye(2 * period, dtype=np.complex128)).T
         shift = np.roll(np.eye(2 * period), period // 2, axis=0)
         assert np.max(np.abs(shift @ ring - ring @ shift)) <= 1e-13, model
     assert (DKRM_RESONANT, (1, 1)) in folded and (DKRM_GENERAL, (1, 1)) in folded

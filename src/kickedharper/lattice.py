@@ -140,9 +140,9 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.resonance is not None:  # a tuple, so the model hashes
             object.__setattr__(self, "resonance", _resonance_pair(self.resonance))
-        for k in (self.k1, self.k2):
-            if not (k >= 0 and math.isfinite(k)):
-                raise ValueError("kick strengths must be finite and >= 0")
+        for k in (self.k1, self.k2):  # k / hbar_eff is the kick's phase amplitude
+            if not (k >= 0 and math.isfinite(k / self.hbar_eff.value)):
+                raise ValueError("kick strengths must be >= 0 with k/hbar_eff finite")
         if self.kind == DKRM_GENERAL:
             if self.resonance is None:
                 raise ValueError("general-resonance model requires (nu, mu)")

@@ -29,6 +29,7 @@ CAYLEY_POLE = 1.0       # first pole phase; not a rational multiple of pi
 CAYLEY_CLEARANCE = 0.1  # re-solve when an eigenphase lies nearer the pole
 MOMENT_TOL = 1e-10      # per site, on the tr U and tr U^2 checks
 STACK_ENTRIES = 2 ** 16  # complex entries per stack of blocks, to bound memory
+MIRROR_TOL = 1e-13      # angles nearer than this, with phi ~ -phi, share one solve
 
 
 # ── lattice periodicity ────────────────────────────────────────────────────
@@ -192,16 +193,31 @@ def model_from_ratios(kind: str, ratio1: float, ratio2: float, num: int, den: in
     return ModelSpec(kind, ratio1 * hb.value, ratio2 * hb.value, hb, resonance)
 
 
+def _mirror_groups(phis: np.ndarray) -> tuple:
+    """Angles equal within MIRROR_TOL once phi ~ -phi (mod 2*pi), as (one index per group,
+    group of each angle).  Every factor is even under the parity l -> -l, which maps the
+    block at phi onto the block at -phi, so a group shares one spectrum."""
+    ang = np.mod(phis, TWO_PI)
+    key = np.minimum(ang, TWO_PI - ang)  # phi and -phi fold onto one point of [0, pi]
+    order = np.argsort(key)
+    first = np.diff(key[order], prepend=-np.inf) > MIRROR_TOL
+    group = np.empty_like(order)
+    group[order] = np.cumsum(first) - 1
+    return order[first], group
+
+
 def _bloch_spectra(model: ModelSpec, thetas: np.ndarray) -> np.ndarray:
-    """(T, lattice_period) sorted quasienergies at angles thetas, from chunked stacks;
-    with fold 2 the one at theta unites the half-size blocks at theta/2 and theta/2 + pi."""
+    """(T, lattice_period) sorted quasienergies at angles thetas, from chunked stacks of
+    one angle per _mirror_groups group; fold 2 joins the theta/2 and theta/2 + pi blocks."""
     fold = bloch_fold(model)
     period = lattice_period(model) // fold
     phis = ((thetas[:, None] + TWO_PI * np.arange(fold)) / fold).ravel()
+    solved, group = _mirror_groups(phis)
+    phis = phis[solved]
     chunk = max(1, STACK_ENTRIES // period ** 2)
     eps = np.concatenate([_stack_phases(_bloch_stack(model, phis[i:i + chunk], period))
                           for i in range(0, phis.size, chunk)])
-    return np.sort(eps.reshape(len(thetas), fold * period), axis=1)
+    return np.sort(eps[group].reshape(len(thetas), fold * period), axis=1)
 
 
 def model_spectrum(model: ModelSpec, theta_count: int) -> SpectrumSet:

@@ -304,6 +304,8 @@ def test_config_validation_failures_exit_two(tmp_path):
         {**butterfly_config(new), "model": {"kind": "khm", "k1": 10**400, "k2": 1.0}},
         {"command": "evolve", "output_prefix": str(new / "x"),
          "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": f"2pi*1/{10**400}"}},
+        {"command": "evolve", "output_prefix": str(new / "x"), "n_steps": 100,  # k1/hbar inf
+         "model": {"kind": "khm", "k1": 1e300, "k2": 1.0, "hbar": 1e-10}},
     ]
     for i, cfg in enumerate(bad):
         assert main([write_config(tmp_path, f"bad{i}.json", cfg)]) == 2, cfg

@@ -89,6 +89,9 @@ def test_model_spec_validation():
         ModelSpec("rotor", 1.0, 1.0, hb)
     with pytest.raises(ValueError):
         ModelSpec(KHM, -1.0, 1.0, hb)
+    for k1, small in ((math.inf, 1.0), (1e300, 1e-10)):   # k or k/hbar_eff infinite
+        with pytest.raises(ValueError):
+            ModelSpec(KHM, k1, 1.0, EffPlanck(small))
     with pytest.raises(ValueError):
         ModelSpec(DKRM_GENERAL, 1.0, 1.0, hb)
     with pytest.raises(ValueError):

@@ -406,6 +406,90 @@ def test_bloch_spectrum_is_independent_of_theta_sign():
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+# ── parity: one solve per pair of Bloch angles {phi, -phi} ─────────────────
+
+def test_parity_leaves_the_ring_operator_unchanged():
+    """Every factor is even under l -> -l: on a ring of 2P sites (P =
+    lattice_period) the dense operator commutes with that parity."""
+    folds = set()
+    fib = parse_effective_planck("2pi*89/233")
+    models = [model_from_ratios(kind, 1.0, 0.5, r.num, r.den, resonance)
+              for kind, resonance in PERIOD_SWEEP_FAMILIES
+              for r in scan_rationals(kind, 5)]
+    for model in models + [ModelSpec(kind, 1.0, 1.0, fib) for kind in (KHM, DKRM_RESONANT)]:
+        folds.add(spectrum.bloch_fold(model))
+        n = 2 * lattice_period(model)
+        ring = quantum._apply_period(quantum._kernel_tables(model, 0, n),
+                                     np.eye(n, dtype=np.complex128)).T
+        flip = -np.arange(n) % n
+        assert np.max(np.abs(ring[np.ix_(flip, flip)] - ring)) <= 1e-12, model
+    assert folds == {1, 2}
+
+
+def test_mirror_groups_pair_angles_by_value():
+    phis = np.array([0.3, 0.5, TWO_PI - 0.3, TWO_PI - 0.5 + 1e-9, np.pi, -0.5, 0.0, TWO_PI])
+    solved, group = spectrum._mirror_groups(phis)
+    assert np.array_equal(group[solved], np.arange(solved.size))
+    members = {frozenset(np.flatnonzero(group == g)) for g in range(solved.size)}
+    assert members == {frozenset(s) for s in ({0, 2}, {1, 5}, {3}, {4}, {6, 7})}
+
+
+def mirror_sweep_models():
+    for kind, resonance in [(KHM, None), (DKRM_RESONANT, None)] + [
+            (DKRM_GENERAL, res) for res in [(1, 2), (3, 4), (1, 3)]]:
+        for r in scan_rationals(kind, 9):
+            for ratios in ((1.0, 0.5), (2.3, 1.1)):
+                yield model_from_ratios(kind, *ratios, r.num, r.den, resonance)
+
+
+def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
+    """_bloch_spectra stacks floor(fold*T/2) + 1 of its fold*T half-block angles and
+    still matches one block per angle, solved on its own.  The sweep holds the
+    small fold-2 blocks, where pairing by array position instead of by angle fails."""
+    stacked = []
+    stack = spectrum._bloch_stack
+
+    def spy(model, phis, period):
+        stacked.append(phis.size)
+        return stack(model, phis, period)
+
+    monkeypatch.setattr(spectrum, "_bloch_stack", spy)
+    fib = parse_effective_planck("2pi*89/233")
+    cases = [(model, count) for model in mirror_sweep_models() for count in (1, 2, 3, 4, 8)]
+    cases += [(ModelSpec(KHM, 1.0, 1.0, fib), 16), (ModelSpec(DKRM_RESONANT, 1.0, 1.0, fib), 8)]
+    refs, small_folded = {}, 0     # theta_grid(8) holds the angles of 1, 2 and 4 bitwise
+    for model, count in cases:
+        fold = spectrum.bloch_fold(model)
+        small_folded += fold == 2 and lattice_period(model) <= 4
+        thetas = theta_grid(count)
+        stacked.clear()
+        eps = spectrum._bloch_spectra(model, thetas)
+        assert sum(stacked) == fold * count // 2 + 1, (model, count)
+        for theta, row in zip(thetas, eps):
+            if (model, theta) not in refs:
+                refs[model, theta] = quasienergies(build_bloch_matrix(model, theta))
+            assert spectrum_set_distance(row, refs[model, theta]) <= 1e-12, (model, theta)
+    assert small_folded > 0
+
+
+def test_symmetry_claims_solve_every_partner_from_its_own_blocks(monkeypatch):
+    """A partner spectrum derived from the base one would make each claim hold
+    by construction, so every claim's model goes through _bloch_spectra."""
+    solved = []
+    spectra = spectrum._bloch_spectra
+
+    def spy(model, thetas):
+        solved.append(model)
+        return spectra(model, thetas)
+
+    monkeypatch.setattr(spectrum, "_bloch_spectra", spy)
+    check_symmetry_claims(KHM, 1.0, 0.6, [Rational(1, 3)], theta_count=4)
+    check_symmetry_claims(DKRM_RESONANT, 0.9, 0.4, [Rational(1, 3)], theta_count=4)
+    assert solved == [model_from_ratios(KHM, 1.0, 0.6, num, 3) for num in (1, 4, 2)] + [
+        model_from_ratios(DKRM_RESONANT, *ratios, num, 3)
+        for ratios, num in [((0.9, 0.4), 1), ((0.9, 0.4), 7), ((0.9, 0.4), 5), ((0.4, 0.9), 1)]]
+
+
 # ── scan plumbing ──────────────────────────────────────────────────────────
 
 def test_scan_rationals_windows():

@@ -246,10 +246,8 @@ class Wavepacket:
     def doubled(self) -> "Wavepacket":
         """Symmetrically zero-pad to twice the size (lattice grows both ways)."""
         half = self.n_sites // 2
-        amps = np.concatenate([np.zeros(half, dtype=np.complex128),
-                               self.amps,
-                               np.zeros(half, dtype=np.complex128)])
-        return Wavepacket(self.l_min - half, self.l_max + half, amps, self.hbar_eff)
+        return Wavepacket(self.l_min - half, self.l_max + half, np.pad(self.amps, half),
+                          self.hbar_eff)
 
 
 def momentum_variance(psi: Wavepacket, l0: int) -> float:

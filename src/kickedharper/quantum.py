@@ -44,15 +44,11 @@ class KickCoefficients:
 @lru_cache(maxsize=64)
 def _kick_coefficients_cached(x: float):
     n_grid = 1 << max(9, math.ceil(math.log2(8 * (math.ceil(x) + 64))))
-    grid = TWO_PI * np.arange(n_grid) / n_grid
-    c = np.fft.fft(np.exp(-1j * x * np.cos(grid))) / n_grid
-    mags = np.abs(c[: n_grid // 2 + 1])
-    above = np.nonzero(mags >= COEFF_TOL)[0]
-    cutoff = int(above.max(initial=0))
+    c = np.fft.fft(_kick_table(x, n_grid)) / n_grid
+    cutoff = int(np.flatnonzero(np.abs(c[: n_grid // 2 + 1]) >= COEFF_TOL).max(initial=0))
     if cutoff >= n_grid // 2:
         raise NumericalError("kick coefficient tail reaches the sampling grid edge")
-    m = np.arange(-cutoff, cutoff + 1)
-    coeffs = c[np.mod(m, n_grid)]
+    coeffs = c[np.arange(-cutoff, cutoff + 1) % n_grid]
     coeffs.flags.writeable = False
     return cutoff, coeffs
 
@@ -191,10 +187,9 @@ def apply_kick(psi: Wavepacket, x: float) -> Wavepacket:
     return psi.with_amps(_apply_period([(_kick_table(x, psi.n_sites), ())], psi.amps))
 
 
-def apply_quadratic_phase(psi: Wavepacket, tau: float,
-                          cycles: Fraction | None = None) -> Wavepacket:
+def apply_quadratic_phase(psi: Wavepacket, tau: float) -> Wavepacket:
     """Multiply amplitudes by e^{-i tau l^2 / 2} sitewise."""
-    table = _diagonal_table((QuadraticPhase(tau, cycles),), psi.l_min, psi.n_sites)
+    table = _diagonal_table((QuadraticPhase(tau),), psi.l_min, psi.n_sites)
     return psi.with_amps(psi.amps * table)
 
 
@@ -210,13 +205,16 @@ def _kernel_tables(model: ModelSpec, l_min: int, n: int) -> tuple:
     return tuple((_kick_table(x, n), (_diagonal_table(fs, l_min, n),)) for x, fs in groups)
 
 
-def _apply_period(steps, amps: np.ndarray) -> np.ndarray:
-    """Apply (kick table, diagonal tables) steps along the last axis of a state or stack."""
+def _apply_period(steps, src: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
+    """Apply (kick table, diagonal tables) steps along the last axis of a state or stack
+    into dst (new when None) and return it; src stays intact for a retried step."""
+    dst = np.empty(src.shape, dtype=np.complex128) if dst is None else dst
     for kick, tables in steps:
-        amps = np.fft.fft(np.fft.ifft(amps) * kick)
+        np.fft.fft(np.multiply(np.fft.ifft(src, out=dst), kick, out=dst), out=dst)
         for table in tables:
-            amps = amps * table
-    return amps
+            dst *= table
+        src = dst
+    return dst
 
 
 def trigger_margin(model: ModelSpec, n_sites: int) -> int:
@@ -237,8 +235,7 @@ def apply_floquet(model: ModelSpec, psi: Wavepacket, *,
     leak_threshold probability within trigger_margin sites of the lattice
     edge; the caller is expected to grow the lattice and retry.
     """
-    out = psi.with_amps(_apply_period(_kernel_tables(model, psi.l_min, psi.n_sites),
-                                      psi.amps))
+    out = psi.with_amps(_apply_period(_kernel_tables(model, psi.l_min, psi.n_sites), psi.amps))
     if edge_mass(out, trigger_margin(model, psi.n_sites)) > leak_threshold:
         raise LatticeOverflowError(
             f"edge mass beyond {leak_threshold:g} on a {psi.n_sites}-site lattice")
@@ -256,6 +253,7 @@ class DiffusionSeries:
     leak: np.ndarray
     model: ModelSpec
     final_norm: float = 1.0
+    growth: tuple = ()  # (step, lattice size after it), one per doubling
 
     def __post_init__(self):
         self.steps = np.asarray(self.steps, dtype=np.int64)
@@ -269,47 +267,50 @@ class DiffusionSeries:
             raise ValueError("variance must be >= 0")
 
 
-def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int,
-           record_every: int = 1, *,
-           leak_threshold: float = DEFAULT_LEAK_THRESHOLD,
+def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int = 1, *,
            max_sites: int = DEFAULT_MAX_SITES) -> DiffusionSeries:
     """Iterate the Floquet map, growing the lattice whenever mass nears an edge.
 
     Growth is symmetric doubling with zero padding, and the step whose edge
     mass (within trigger_margin sites, fixed per lattice size) exceeds
-    leak_threshold is retried on the larger lattice.  Records are taken at
+    DEFAULT_LEAK_THRESHOLD is retried on the larger lattice.  Records are taken at
     step 0 and every record_every periods.  psi0 must carry the model's hbar_eff.
+    A NaN edge mass or a final norm off 1 by more than 1e-8 raises NumericalError.
     """
     if abs(psi0.hbar_eff.value - model.hbar_eff.value) > 1e-14 * model.hbar_eff.value:
         raise ValueError("psi0.hbar_eff differs from the model's hbar_eff")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    psi = psi0
-    l0 = int(psi.l_min + np.argmax(np.abs(psi.amps)))
-    tables = _kernel_tables(model, psi.l_min, psi.n_sites)
-    margin = trigger_margin(model, psi.n_sites)
-    steps = [0]
-    variance = [momentum_variance(psi, l0)]
-    leak = [edge_mass(psi, margin)]
+    if n_steps < 1 or record_every < 1:
+        raise ValueError("n_steps and record_every must be >= 1")
+    l0 = int(psi0.l_min + np.argmax(np.abs(psi0.amps)))
+
+    def lattice(l_min, n):  # kernel steps, edge margin and variance weights (l - l0)^2
+        offsets = np.arange(l_min, l_min + n, dtype=np.int64).astype(np.float64) - float(l0)
+        return _kernel_tables(model, l_min, n), trigger_margin(model, n), offsets * offsets
+    l_min, src, dst = psi0.l_min, psi0.amps.copy(), None  # the kernel allocates dst
+    tables, margin, weights = lattice(l_min, src.size)
+    steps, variance, growth = [0], [momentum_variance(psi0, l0)], []
+    leak = [edge_mass(psi0, margin)]
     for t in range(1, n_steps + 1):
-        nxt = psi.with_amps(_apply_period(tables, psi.amps))
-        while (mass := edge_mass(nxt, margin)) > leak_threshold:
-            if 2 * psi.n_sites > max_sites:
-                raise ResourceLimitError(
-                    f"lattice would exceed {max_sites} sites at step {t}")
-            psi = psi.doubled()
-            tables = _kernel_tables(model, psi.l_min, psi.n_sites)
-            margin = trigger_margin(model, psi.n_sites)
-            nxt = psi.with_amps(_apply_period(tables, psi.amps))
-        psi = nxt
+        while True:  # src is intact until the step is accepted
+            out = _apply_period(tables, src, dst)
+            prob = np.abs(out) ** 2
+            mass = float(np.sum(prob[:margin]) + np.sum(prob[-margin:]))
+            if mass <= DEFAULT_LEAK_THRESHOLD:
+                break
+            if math.isnan(mass):
+                raise NumericalError(f"edge mass is NaN at step {t}")
+            if 2 * src.size > max_sites:
+                raise ResourceLimitError(f"lattice would exceed {max_sites} sites at step {t}")
+            half = src.size // 2
+            src, dst, l_min = np.pad(src, half), None, l_min - half
+            tables, margin, weights = lattice(l_min, src.size)
+            growth.append((t, src.size))
+        src, dst = out, src
         if t % record_every == 0:
             steps.append(t)
-            variance.append(momentum_variance(psi, l0))
+            variance.append(float(psi0.hbar_eff.value ** 2 * np.dot(weights, prob)))
             leak.append(mass)
-    final_norm = psi.norm()
-    if abs(final_norm - 1.0) > 1e-8:
+    final_norm = float(np.sqrt(np.sum(prob)))
+    if not abs(final_norm - 1.0) <= 1e-8:
         raise NumericalError(f"norm drifted to {final_norm:.12f} after {n_steps} steps")
-    return DiffusionSeries(np.array(steps), np.array(variance), np.array(leak),
-                           model, final_norm)
+    return DiffusionSeries(steps, variance, leak, model, final_norm, tuple(growth))

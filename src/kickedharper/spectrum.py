@@ -84,7 +84,8 @@ def _bloch_stack(model: ModelSpec, phis: np.ndarray, period: int) -> np.ndarray:
             arg = np.angle(f.jump(period))
             steps[-1][1].append(f.values(sites) * np.exp(-1j * arg * sites / period))
             angle = angle - arg
-    u = _apply_period(steps, np.eye(period, dtype=np.complex128))  # rows: basis images
+    u = _apply_period(steps, np.broadcast_to(  # rows: basis images
+        np.eye(period, dtype=np.complex128), (phis.size, period, period)))
     u = u.swapaxes(1, 2) * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)
     u *= np.exp(1j * phis[:, None, None] * sites / period)
     err = np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(period)), axis=(1, 2))

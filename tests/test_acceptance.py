@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
+from kickedharper import quantum
 from kickedharper import (
     DKRM_GENERAL,
     DKRM_RESONANT,
@@ -17,6 +18,7 @@ from kickedharper import (
     EffPlanck,
     ModelSpec,
     PhasePoint,
+    QuadraticPhase,
     Wavepacket,
     aggregated_energies,
     apply_kick,
@@ -165,23 +167,30 @@ def time_reversed_run(model, n_steps):
     """Variances of U^{-t}|0> for t = 0..n_steps of a dkrm-resonant model.
 
     One period is U = C K2 D K1 with the closing drift C = D^dag, so the
-    inverse is stepped factor by factor: C^dag, K2^dag, D^dag, K1^dag.  The
-    lattice doubles whenever mass nears an edge, and the step is retried.
+    inverse is C^dag followed by the period-kernel steps K2^dag D^dag and
+    K1^dag.  The lattice doubles whenever mass nears an edge, and the step
+    is retried.
     """
     hb = model.hbar_eff.value
     margin = 8 + sum(kick_coefficients(k / hb).cutoff
                      for k in (model.k1, model.k2))
+
+    def inverse_steps(psi):
+        drift = quantum._diagonal_table((QuadraticPhase(-hb),), psi.l_min, psi.n_sites)
+        return [(quantum._kick_table(-model.k2 / hb, psi.n_sites), (drift,)),
+                (quantum._kick_table(-model.k1 / hb, psi.n_sites), ())]
+
     psi = Wavepacket.delta(l0=0, n_sites=256, hbar_eff=model.hbar_eff)
+    steps = inverse_steps(psi)
     variance = [momentum_variance(psi, 0)]
     for _ in range(n_steps):
         while True:
-            nxt = apply_quadratic_phase(psi, hb)
-            nxt = apply_kick(nxt, -model.k2 / hb)
-            nxt = apply_quadratic_phase(nxt, -hb)
-            nxt = apply_kick(nxt, -model.k1 / hb)
+            nxt = psi.with_amps(quantum._apply_period(
+                steps, apply_quadratic_phase(psi, hb).amps))
             if edge_mass(nxt, min(margin, psi.n_sites // 2 - 1)) <= 1e-10:
                 break
             psi = psi.doubled()
+            steps = inverse_steps(psi)
         psi = nxt
         variance.append(momentum_variance(psi, 0))
     return np.array(variance)

@@ -18,6 +18,7 @@ from kickedharper import (
     KickFactor,
     LatticeOverflowError,
     ModelSpec,
+    NumericalError,
     QuadraticPhase,
     ResourceLimitError,
     Wavepacket,
@@ -303,6 +304,54 @@ def test_kick_swap_is_the_transpose_conjugated_by_the_closing_drift(kind, resona
 
 # ── long-time evolution ────────────────────────────────────────────────────
 
+def out_of_place_period(steps, amps):
+    """The period kernel as a product of new arrays, one per FFT and table."""
+    for kick, tables in steps:
+        amps = np.fft.fft(np.fft.ifft(amps) * kick)
+        for table in tables:
+            amps = amps * table
+    return amps
+
+
+def test_period_kernel_fills_its_buffer_and_keeps_its_source():
+    rng = np.random.default_rng(11)
+    model = ModelSpec(DKRM_RESONANT, 3.9, 3.9, EffPlanck(1.0))
+    for n in (256, 8192):
+        steps = quantum._kernel_tables(model, -n // 2, n)
+        src = rng.normal(size=n) + 1j * rng.normal(size=n)
+        src0, dst = src.copy(), np.empty_like(src)
+        assert quantum._apply_period(steps, src, dst) is dst
+        assert np.array_equal(src, src0)
+        assert np.array_equal(dst, out_of_place_period(steps, src))
+    # a Bloch stack steps a broadcast identity: one kick table per angle
+    b, p = 9, 233
+    steps = [(np.exp(-1j * rng.normal(size=(b, 1, p))), [np.exp(-1j * rng.normal(size=p))]),
+             (np.exp(-1j * rng.normal(size=(b, 1, p))), [])]
+    eye = np.eye(p, dtype=np.complex128)
+    stack = quantum._apply_period(steps, np.broadcast_to(eye, (b, p, p)),
+                                  np.empty((b, p, p), dtype=np.complex128))
+    assert np.array_equal(stack, out_of_place_period(steps, eye))
+    assert np.array_equal(eye, np.eye(p))
+
+
+def test_evolve_fails_loudly_on_nan_amplitudes(monkeypatch):
+    # NaN compares False with any bound, so each guard must be written to trip on it
+    hb = EffPlanck(1.0)
+    model = ModelSpec(DKRM_RESONANT, 1.0, 1.0, hb)
+    psi = Wavepacket.delta(n_sites=256, hbar_eff=hb)
+    real = quantum._apply_period
+    for sites, n_steps, message in ((slice(None), 5, "edge mass is NaN at step 1"),
+                                    (slice(128, 129), 1, "norm drifted to nan")):
+        def poisoned(steps, src, dst=None, sites=sites):
+            out = real(steps, src, dst)
+            out[sites] = np.nan
+            return out
+
+        monkeypatch.setattr(quantum, "_apply_period", poisoned)
+        with pytest.raises(NumericalError, match=message):
+            evolve(model, psi, n_steps)
+
+
 def test_evolve_records_at_requested_cadence():
     hb = EffPlanck(1.0)
     model = ModelSpec(DKRM_RESONANT, 0.7, 0.7, hb)
@@ -360,8 +409,19 @@ def test_evolve_matches_manual_floquet_loop():
         assert np.array_equal(series.steps, steps)
         assert np.array_equal(series.variance, variance)
         assert np.array_equal(series.leak, leak)
+        assert [n for _, n in series.growth] == [
+            n_sites << k for k in range(1, len(series.growth) + 1)]
+        assert (series.growth[-1][1] if series.growth else n_sites) == final_sites
         if model is growing:
             assert final_sites >= 8 * n_sites
+    # a site budget reached mid-growth stops evolve at the first step after
+    # which the stepped loop's lattice is larger than the budget
+    psi = Wavepacket.delta(l0=3, n_sites=64, hbar_eff=hb)
+    budget = 512
+    first = next(t for t in range(1, 151) if stepped_evolve(growing, psi, t, 1)[3] > budget)
+    assert first == next(t for t, n in evolve(growing, psi, 150).growth if n > budget)
+    with pytest.raises(ResourceLimitError, match=f"at step {first}$"):
+        evolve(growing, psi, 150, max_sites=budget)
 
 
 def test_evolve_is_deterministic():

@@ -140,10 +140,20 @@ def _open_output(path: str, newline: str | None = None):
     return open(path, "w", newline=newline)
 
 
-def _write_csv(path: str, header: str, row_format: str, rows):
+def _write_csv(path: str, header: str, lines):
     with _open_output(path, newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(row_format % row for row in rows)
+        fh.writelines(lines)
+
+
+def _spectrum_lines(spectrum):
+    """A spectrum's CSV text, one (rational, theta) row of quasienergies per % call; the
+    prefix (digits, signs, '.', 'e' and ',' only, so no '%') is formatted once per row."""
+    for hb, eps in zip(spectrum.hbars, spectrum.energies):
+        rp = hb.rational_part
+        for theta, row in zip(spectrum.thetas, eps):
+            prefix = SPECTRUM_PREFIX % (rp.num, rp.den, hb.value, theta)
+            yield ((prefix + "%.17g\n") * row.size) % tuple(row.tolist())
 
 
 def _write_json(path: str, payload: dict):
@@ -201,7 +211,7 @@ print(out)
 
 # each CSV's header and row format, floats at 17 significant digits
 SPECTRUM_HEADER = "hbar_num,hbar_den,hbar,theta,quasienergy"
-SPECTRUM_ROW = "%d,%d,%.17g,%.17g,%.17g\n"
+SPECTRUM_PREFIX = "%d,%d,%.17g,%.17g,"  # then one quasienergy per row
 DIFFUSION_HEADER = "step,variance,edge_mass"
 DIFFUSION_ROW = "%d,%.17g,%.17g\n"
 
@@ -217,8 +227,7 @@ def run_butterfly(model: ModelSpec, knobs: dict, prefix: str) -> int:
     spectrum = butterfly_scan(model.kind, model.k1, model.k2, knobs["s_max"],
                               knobs["theta_count"], window_cycles=knobs["window_cycles"],
                               resonance=model.resonance, workers=knobs["workers"])
-    _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, SPECTRUM_ROW,
-               spectrum.rows())
+    _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, _spectrum_lines(spectrum))
     _write_plot(prefix, _SPECTRUM_PLOT, prefix + "_spectrum.csv")
     return 0
 
@@ -234,8 +243,8 @@ def run_evolve(model: ModelSpec, knobs: dict, prefix: str) -> int:
               "the power-law fit needs >= 10")
     psi0 = Wavepacket.delta(l0=0, n_sites=256, hbar_eff=model.hbar_eff)
     series = evolve(model, psi0, n_steps, record_every)
-    _write_csv(prefix + "_diffusion.csv", DIFFUSION_HEADER, DIFFUSION_ROW,
-               zip(series.steps, series.variance, series.leak))
+    _write_csv(prefix + "_diffusion.csv", DIFFUSION_HEADER, (
+        DIFFUSION_ROW % r for r in zip(series.steps, series.variance, series.leak)))
     if series.variance.any():
         fit = fit_power_law(series, (window[0], window[1]))
         alpha, label = fit.alpha, classify_transport(fit, series)
@@ -268,8 +277,8 @@ def run_classical(model: ModelSpec, knobs: dict, prefix: str) -> int:
     start = PhasePoint(float(rng.uniform(0.0, TWO_PI)),
                        float(rng.uniform(0.0, TWO_PI)))
     traj = trajectory(map_kind, start, n_steps, k1, k2)
-    _write_csv(prefix + "_trajectory.csv", "step,q,p", "%d,%.17g,%.17g\n",
-               ((i, pt.q, pt.p) for i, pt in enumerate(traj)))
+    _write_csv(prefix + "_trajectory.csv", "step,q,p",
+               ("%d,%.17g,%.17g\n" % (i, pt.q, pt.p) for i, pt in enumerate(traj)))
     _write_json(prefix + "_classical.json", {
         "map_equivalence_max_residual": eq_res,
         "half_step_max_deviation": half_dev,
@@ -289,8 +298,7 @@ def run_fractal(model: ModelSpec, knobs: dict, prefix: str) -> int:
     spectrum = model_spectrum(model, knobs["theta_count"])
     energies = np.sort(spectrum.energies[0], axis=None)
     box = box_counting_dimension(energies, knobs["scales"])
-    _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, SPECTRUM_ROW,
-               spectrum.rows())
+    _write_csv(prefix + "_spectrum.csv", SPECTRUM_HEADER, _spectrum_lines(spectrum))
     _write_json(prefix + "_fractal.json", {
         "d0": box.d0,
         "rms_residual": box.rms_residual,

@@ -229,14 +229,14 @@ def trigger_margin(model: ModelSpec, n_sites: int) -> int:
 
 def apply_floquet(model: ModelSpec, psi: Wavepacket, *,
                   leak_threshold: float = DEFAULT_LEAK_THRESHOLD) -> Wavepacket:
-    """Apply one full period of the model's Floquet operator.
-
-    Raises LatticeOverflowError when the resulting state carries more than
-    leak_threshold probability within trigger_margin sites of the lattice
-    edge; the caller is expected to grow the lattice and retry.
-    """
+    """Apply one full period of the model's Floquet operator.  Raises LatticeOverflowError
+    (grow the lattice and retry) when more than leak_threshold probability lies within
+    trigger_margin sites of the lattice edge, and NumericalError when that mass is NaN."""
     out = psi.with_amps(_apply_period(_kernel_tables(model, psi.l_min, psi.n_sites), psi.amps))
-    if edge_mass(out, trigger_margin(model, psi.n_sites)) > leak_threshold:
+    mass = edge_mass(out, trigger_margin(model, psi.n_sites))
+    if math.isnan(mass):
+        raise NumericalError(f"edge mass is NaN on a {psi.n_sites}-site lattice")
+    if mass > leak_threshold:
         raise LatticeOverflowError(
             f"edge mass beyond {leak_threshold:g} on a {psi.n_sites}-site lattice")
     return out

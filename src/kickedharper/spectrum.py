@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +37,23 @@ MIRROR_TOL = 1e-13      # angles nearer than this, with phi ~ -phi, share one so
 def lattice_period(model: ModelSpec) -> int:
     """Smallest multiple of mu (the resonance denominator) over which every diagonal
     factor's tag repeats; den divides the first drift's or Harper period."""
-    if model.hbar_eff.rational_part is None:
-        raise ConfigError("spectral reduction needs hbar_eff tagged as 2*pi*num/den")
-    return math.lcm(model.resonance_order[1], *(
-        f.period for f in floquet_factors(model) if not isinstance(f, KickFactor)))
+    return _period_and_fold(model, floquet_factors(model))[0]
 
 
 def bloch_fold(model: ModelSpec) -> int:
     """2 if the Floquet operator commutes with translation by lattice_period/2, else 1:
     kicks commute with every translation, diagonal factors pick up their tags' jumps."""
-    half, odd = divmod(lattice_period(model), 2)
-    jumps = [f.jump(half) for f in floquet_factors(model) if not isinstance(f, KickFactor)]
-    return 1 if odd or None in jumps or math.prod(jumps) != 1 else 2
+    return _period_and_fold(model, floquet_factors(model))[1]
+
+
+def _period_and_fold(model: ModelSpec, factors: tuple) -> tuple:
+    """(lattice_period, bloch_fold) of a model from its floquet_factors."""
+    if model.hbar_eff.rational_part is None:
+        raise ConfigError("spectral reduction needs hbar_eff tagged as 2*pi*num/den")
+    diagonal = [f for f in factors if not isinstance(f, KickFactor)]
+    period = math.lcm(model.resonance_order[1], *(f.period for f in diagonal))
+    jumps = [f.jump(period // 2) for f in diagonal]
+    return period, 1 if period % 2 or None in jumps or math.prod(jumps) != 1 else 2
 
 
 def theta_grid(count: int) -> np.ndarray:
@@ -63,11 +68,12 @@ def theta_grid(count: int) -> np.ndarray:
 def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> np.ndarray:
     """(P, P) Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l,
     P = lattice_period(model).  coeffs is ignored; some callers still pass it."""
-    return _bloch_stack(model, np.array([float(theta)]), lattice_period(model))[0]
+    return _bloch_stack(floquet_factors(model), np.array([float(theta)]),
+                        lattice_period(model))[0]
 
 
-def _bloch_stack(model: ModelSpec, phis: np.ndarray, period: int) -> np.ndarray:
-    """(B, P, P) blocks of the Floquet operator on P sites at Bloch angles phis.
+def _bloch_stack(factors: tuple, phis: np.ndarray, period: int) -> np.ndarray:
+    """(B, P, P) blocks of the Floquet operator with these factors on P sites at angles phis.
 
     Kicks act on the grid q_k = (2*pi*k + phi)/P of the running angle phi.  A
     diagonal factor's jump s = +-1 over P (P must be lattice_period or, at fold
@@ -76,7 +82,7 @@ def _bloch_stack(model: ModelSpec, phis: np.ndarray, period: int) -> np.ndarray:
     sites = np.arange(period)
     angle = phis[:, None, None]
     steps = []
-    for f in floquet_factors(model):
+    for f in factors:
         if isinstance(f, KickFactor):
             kick = np.exp(-1j * f.strength * np.cos((TWO_PI * sites + angle) / period))
             steps.append((kick, []))
@@ -210,13 +216,14 @@ def _mirror_groups(phis: np.ndarray) -> tuple:
 def _bloch_spectra(model: ModelSpec, thetas: np.ndarray) -> np.ndarray:
     """(T, lattice_period) sorted quasienergies at angles thetas, from chunked stacks of
     one angle per _mirror_groups group; fold 2 joins the theta/2 and theta/2 + pi blocks."""
-    fold = bloch_fold(model)
-    period = lattice_period(model) // fold
+    factors = floquet_factors(model)
+    full, fold = _period_and_fold(model, factors)
+    period = full // fold
     phis = ((thetas[:, None] + TWO_PI * np.arange(fold)) / fold).ravel()
     solved, group = _mirror_groups(phis)
     phis = phis[solved]
     chunk = max(1, STACK_ENTRIES // period ** 2)
-    eps = np.concatenate([_stack_phases(_bloch_stack(model, phis[i:i + chunk], period))
+    eps = np.concatenate([_stack_phases(_bloch_stack(factors, phis[i:i + chunk], period))
                           for i in range(0, phis.size, chunk)])
     return np.sort(eps[group].reshape(len(thetas), fold * period), axis=1)
 
@@ -242,11 +249,8 @@ def scan_rationals(kind: str, s_max: int, window_cycles: int | None = None) -> l
     cycles = window_cycles if window_cycles is not None else (1 if kind == KHM else 2)
     if cycles < 1:
         raise ValueError("window_cycles must be >= 1")
-    out = [Rational(r.num + shift * r.den, r.den)
-           for r in farey_sequence(s_max)
-           for shift in range(cycles)]
-    out.sort(key=lambda r: r.as_fraction())
-    return out
+    return sorted((Rational(r.num + shift * r.den, r.den) for r in farey_sequence(s_max)
+                   for shift in range(cycles)), key=Rational.as_fraction)
 
 
 def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
@@ -256,27 +260,33 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
     """Quasienergy spectra over all scan rationals at fixed k/hbar_eff ratios.
 
     ratio1 and ratio2 are the kick strengths in units of hbar_eff, held fixed
-    across the scan so every rational shares the same kick profile.  Results
-    are sorted by (hbar_eff, theta) and do not depend on the worker count,
-    which is capped at the number of rationals and of CPUs.
+    across the scan so every rational shares the same kick profile.  Results are
+    sorted by (hbar_eff, theta) and do not depend on the worker count, which is
+    capped at the number of solved rationals and of CPUs.
     """
     for r in (ratio1, ratio2):
         if not (r >= 0 and math.isfinite(r)):
             raise ValueError("kick ratios must be finite and >= 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    rationals = scan_rationals(kind, s_max, window_cycles)
     models = [model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
-              for r in scan_rationals(kind, s_max, window_cycles)]
+              for r in rationals]
+    # hbar-mirror partners num/den, (span den - num)/den share a spectrum (README)
+    span = 1 if kind == KHM else 2 if models[0].resonance_order == (1, 1) else 0
+    index = {(r.num, r.den): i for i, r in enumerate(rationals)}
+    rep = [min(i, index.get((span * r.den - r.num, r.den), i)) for i, r in enumerate(rationals)]
+    solved = sorted(set(rep))   # the lower rational of each pair
     thetas = theta_grid(theta_count)
-    grids = [thetas] * len(models)
-    workers = min(workers, len(models), os.cpu_count() or 1)
+    args = [models[i] for i in solved], [thetas] * len(solved)
+    workers = min(workers, len(solved), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            energies = list(pool.map(_bloch_spectra, models, grids,
-                                     chunksize=max(1, len(models) // (4 * workers))))
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            energies = dict(zip(solved, pool.map(
+                _bloch_spectra, *args, chunksize=max(1, len(solved) // (4 * workers)))))
     else:
-        energies = list(map(_bloch_spectra, models, grids))
-    return SpectrumSet([m.hbar_eff for m in models], thetas, energies)
+        energies = dict(zip(solved, map(_bloch_spectra, *args)))
+    return SpectrumSet([m.hbar_eff for m in models], thetas, [energies[i] for i in rep])
 
 
 # ── symmetry claims ────────────────────────────────────────────────────────

@@ -272,6 +272,19 @@ def test_apply_floquet_raises_when_lattice_is_too_small():
         apply_floquet(model, psi)
 
 
+def test_apply_floquet_fails_loudly_on_a_nan_amplitude():
+    # a NaN edge mass compares False with the leak threshold, and raised as a lattice
+    # overflow it would send stepped_evolve into an endless doubling
+    hb = EffPlanck(1.0)
+    model = ModelSpec(DKRM_RESONANT, 1.0, 1.0, hb)
+    psi = Wavepacket.delta(n_sites=64, hbar_eff=hb)
+    psi.amps[40] = np.nan
+    with pytest.raises(NumericalError, match="edge mass is NaN on a 64-site lattice"):
+        apply_floquet(model, psi)
+    with pytest.raises(NumericalError):
+        stepped_evolve(model, psi, 3, 1)
+
+
 def dense_floquet(model, n_sites=128):
     """Matrix of apply_floquet on an n_sites lattice, built column by column."""
     psi = Wavepacket.delta(l0=0, n_sites=n_sites, hbar_eff=model.hbar_eff)

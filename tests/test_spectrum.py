@@ -559,16 +559,62 @@ def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(spectrum, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(spectrum.futures, "ProcessPoolExecutor", RecordingPool)
     serial = list(butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2).rows())
-    assert len(scan_rationals(KHM, 3)) == 4
-    for cpus, workers, expected in [(3, 100_000, [3]), (64, 100_000, [4]),
+    assert len(scan_rationals(KHM, 3)) == 4  # 1/3 and 2/3 mirror: 3 are solved
+    for cpus, workers, expected in [(3, 100_000, [3]), (64, 100_000, [3]),
                                     (8, 2, [2]), (None, 100_000, []), (1, 5, [])]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         created.clear()
         rows = list(butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2, workers=workers).rows())
         assert created == expected, (cpus, workers)
         assert rows == serial
+
+
+@pytest.mark.parametrize("kind, resonance", [(KHM, None), (DKRM_RESONANT, None),
+                                             (DKRM_GENERAL, (1, 1)), (DKRM_GENERAL, (1, 2))])
+def test_mirrored_scan_equals_a_solve_of_every_rational(kind, resonance, monkeypatch):
+    """butterfly_scan solves one rational of each hbar-mirror pair (khm; double kicks at
+    resonance (1, 1) only) and copies its array to the partner.  Every row must match
+    _bloch_spectra of the rational's own model."""
+    solved = []
+    spectra = spectrum._bloch_spectra
+
+    def spy(model, thetas):
+        solved.append(model)
+        return spectra(model, thetas)
+
+    thetas = theta_grid(4)
+    mirrors = resonance in (None, (1, 1))
+    for ratios in ((1.0, 0.5), (2.3, 1.1)):
+        for cycles in (None, 3):
+            rationals = scan_rationals(kind, 9, cycles)
+            monkeypatch.setattr(spectrum, "_bloch_spectra", spy)
+            solved.clear()
+            spec = butterfly_scan(kind, *ratios, 9, theta_count=4, window_cycles=cycles,
+                                  resonance=resonance)
+            monkeypatch.undo()
+            models = [model_from_ratios(kind, *ratios, r.num, r.den, resonance)
+                      for r in rationals]
+            if mirrors:
+                assert len(set(solved)) == len(solved) < len(models)
+                assert set(solved) <= set(models)
+            else:
+                assert solved == models   # no shortcut: every rational, in order
+            for model, eps in zip(models, spec.energies):
+                ref = spectra(model, thetas)
+                for row, ref_row in zip(eps, ref):
+                    assert spectrum_set_distance(row, ref_row) <= 1e-12, (model, ratios)
+
+
+def test_scan_workload_butterfly_solves_one_rational_per_mirror_pair(monkeypatch):
+    """The benchmark's scan butterfly (s_max 24): 358 of its 360 rationals pair off."""
+    solved = []
+    spectra = spectrum._bloch_spectra
+    monkeypatch.setattr(spectrum, "_bloch_spectra",
+                        lambda model, thetas: solved.append(model) or spectra(model, thetas))
+    spec = butterfly_scan(DKRM_RESONANT, 1.0, 0.5, 24, theta_count=4)
+    assert len(spec.hbars) == 360 and len(solved) == 181
 
 
 def test_butterfly_scan_rejects_bad_arguments():

@@ -30,7 +30,6 @@ from .quantum import evolve
 from .spectrum import (butterfly_scan, check_symmetry_claims, lattice_period,
                        model_spectrum)
 
-WORKERS_ENV = "KICKEDHARPER_WORKERS"
 REQUIRED = object()   # the default of a key that a config must give
 
 
@@ -373,11 +372,6 @@ def main(argv=None) -> int:
     path, overrides = _parse_args(argv)
     try:
         cfg = load_config(path)
-        if os.environ.get(WORKERS_ENV):
-            try:
-                cfg["workers"] = int(os.environ[WORKERS_ENV])
-            except ValueError:
-                _fail(f"{WORKERS_ENV} must be an integer")
         cfg.update(overrides)
         run, model, knobs = _parse_run(cfg)
         return run(model, knobs, knobs["output_prefix"])

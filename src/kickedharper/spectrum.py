@@ -29,7 +29,6 @@ CAYLEY_POLE = 1.0       # first pole phase; not a rational multiple of pi
 CAYLEY_CLEARANCE = 0.1  # re-solve when an eigenphase lies nearer the pole
 MOMENT_TOL = 1e-10      # per site, on the tr U and tr U^2 checks
 STACK_ENTRIES = 2 ** 16  # complex entries per stack of blocks, to bound memory
-MIRROR_TOL = 1e-13      # angles nearer than this, with phi ~ -phi, share one solve
 
 
 # ── lattice periodicity ────────────────────────────────────────────────────
@@ -40,14 +39,10 @@ def lattice_period(model: ModelSpec) -> int:
     return _period_and_fold(model, floquet_factors(model))[0]
 
 
-def bloch_fold(model: ModelSpec) -> int:
-    """2 if the Floquet operator commutes with translation by lattice_period/2, else 1:
-    kicks commute with every translation, diagonal factors pick up their tags' jumps."""
-    return _period_and_fold(model, floquet_factors(model))[1]
-
-
 def _period_and_fold(model: ModelSpec, factors: tuple) -> tuple:
-    """(lattice_period, bloch_fold) of a model from its floquet_factors."""
+    """(lattice_period, fold) of a model from its floquet_factors.  The fold is 2 if the
+    Floquet operator commutes with translation by lattice_period/2, else 1: kicks commute
+    with every translation, diagonal factors pick up their tags' jumps."""
     if model.hbar_eff.rational_part is None:
         raise ConfigError("spectral reduction needs hbar_eff tagged as 2*pi*num/den")
     diagonal = [f for f in factors if not isinstance(f, KickFactor)]
@@ -178,19 +173,11 @@ def _sorted_half_open(eps: np.ndarray) -> np.ndarray:
 @dataclass
 class SpectrumSet:
     """Quasienergies of the rationals hbars (ascending) at the Bloch angles thetas:
-    energies[i] is the (T, P_i) array of hbars[i], each row sorted; rows()
-    yields CSV-ready tuples sorted by (hbar, theta)."""
+    energies[i] is the (T, P_i) array of hbars[i], each row sorted."""
 
     hbars: list
     thetas: np.ndarray
     energies: list
-
-    def rows(self):
-        for hb, eps in zip(self.hbars, self.energies):
-            rp = hb.rational_part
-            for theta, row in zip(self.thetas, eps):
-                for e in row:
-                    yield (rp.num, rp.den, hb.value, float(theta), float(e))
 
 
 def model_from_ratios(kind: str, ratio1: float, ratio2: float, num: int, den: int,
@@ -200,43 +187,32 @@ def model_from_ratios(kind: str, ratio1: float, ratio2: float, num: int, den: in
     return ModelSpec(kind, ratio1 * hb.value, ratio2 * hb.value, hb, resonance)
 
 
-def _mirror_groups(phis: np.ndarray) -> tuple:
-    """Angles equal within MIRROR_TOL once phi ~ -phi (mod 2*pi), as (one index per group,
-    group of each angle).  Every factor is even under the parity l -> -l, which maps the
-    block at phi onto the block at -phi, so a group shares one spectrum."""
-    ang = np.mod(phis, TWO_PI)
-    key = np.minimum(ang, TWO_PI - ang)  # phi and -phi fold onto one point of [0, pi]
-    order = np.argsort(key)
-    first = np.diff(key[order], prepend=-np.inf) > MIRROR_TOL
-    group = np.empty_like(order)
-    group[order] = np.cumsum(first) - 1
-    return order[first], group
+def _bloch_spectra(model: ModelSpec, theta_count: int) -> np.ndarray:
+    """(T, lattice_period) sorted quasienergies on theta_grid(T), from chunked stacks.
 
-
-def _bloch_spectra(model: ModelSpec, thetas: np.ndarray) -> np.ndarray:
-    """(T, lattice_period) sorted quasienergies at angles thetas, from chunked stacks of
-    one angle per _mirror_groups group; fold 2 joins the theta/2 and theta/2 + pi blocks."""
+    At fold f the half blocks sit at theta_grid(N), N = f*T, and row j joins the blocks
+    k = j + i*T, i < f.  Parity l -> -l maps the block at angle k onto the one at N - k,
+    so both share a spectrum and only k = 0..N//2 is solved."""
     factors = floquet_factors(model)
     full, fold = _period_and_fold(model, factors)
-    period = full // fold
-    phis = ((thetas[:, None] + TWO_PI * np.arange(fold)) / fold).ravel()
-    solved, group = _mirror_groups(phis)
-    phis = phis[solved]
+    period, n = full // fold, fold * theta_count
+    phis = theta_grid(n)[:n // 2 + 1]
     chunk = max(1, STACK_ENTRIES // period ** 2)
     eps = np.concatenate([_stack_phases(_bloch_stack(factors, phis[i:i + chunk], period))
                           for i in range(0, phis.size, chunk)])
-    return np.sort(eps[group].reshape(len(thetas), fold * period), axis=1)
+    k = np.arange(theta_count)[:, None] + theta_count * np.arange(fold)
+    return np.sort(eps[np.minimum(k, n - k)].reshape(theta_count, full), axis=1)
 
 
 def model_spectrum(model: ModelSpec, theta_count: int) -> SpectrumSet:
     """Spectrum of one model over the full Bloch-angle grid."""
-    thetas = theta_grid(theta_count)
-    return SpectrumSet([model.hbar_eff], thetas, [_bloch_spectra(model, thetas)])
+    return SpectrumSet([model.hbar_eff], theta_grid(theta_count),
+                       [_bloch_spectra(model, theta_count)])
 
 
 def aggregated_energies(model: ModelSpec, theta_count: int) -> np.ndarray:
     """Sorted union of quasienergies over the Bloch-angle grid."""
-    return np.sort(_bloch_spectra(model, theta_grid(theta_count)), axis=None)
+    return np.sort(_bloch_spectra(model, theta_count), axis=None)
 
 
 def scan_rationals(kind: str, s_max: int, window_cycles: int | None = None) -> list:
@@ -277,8 +253,7 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
     index = {(r.num, r.den): i for i, r in enumerate(rationals)}
     rep = [min(i, index.get((span * r.den - r.num, r.den), i)) for i, r in enumerate(rationals)]
     solved = sorted(set(rep))   # the lower rational of each pair
-    thetas = theta_grid(theta_count)
-    args = [models[i] for i in solved], [thetas] * len(solved)
+    args = [models[i] for i in solved], [theta_count] * len(solved)
     workers = min(workers, len(solved), os.cpu_count() or 1)
     if workers > 1:
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -286,7 +261,8 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
                 _bloch_spectra, *args, chunksize=max(1, len(solved) // (4 * workers)))))
     else:
         energies = dict(zip(solved, map(_bloch_spectra, *args)))
-    return SpectrumSet([m.hbar_eff for m in models], thetas, [energies[i] for i in rep])
+    return SpectrumSet([m.hbar_eff for m in models], theta_grid(theta_count),
+                       [energies[i] for i in rep])
 
 
 # ── symmetry claims ────────────────────────────────────────────────────────

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import kickedharper
-from kickedharper import TRANSPORT_LABELS
-from kickedharper.cli import DIFFUSION_HEADER, SPECTRUM_HEADER, main
+from kickedharper import (DKRM_RESONANT, KHM, TRANSPORT_LABELS, ModelSpec, butterfly_scan,
+                          floquet_factors, model_spectrum, parse_effective_planck)
+from kickedharper.cli import DIFFUSION_HEADER, SPECTRUM_HEADER, SPECTRUM_PREFIX, main
+from kickedharper.spectrum import _period_and_fold
 
 
 def write_config(tmp_path, name, payload):
@@ -77,12 +79,33 @@ def test_flags_override_the_config(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
-def test_workers_env_variable_is_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv("KICKEDHARPER_WORKERS", "2")
-    cfg = butterfly_config(tmp_path, prefix="env/run")
-    assert main([write_config(tmp_path, "c.json", cfg)]) == 0
-    monkeypatch.setenv("KICKEDHARPER_WORKERS", "zero")
-    assert main([write_config(tmp_path, "c.json", cfg)]) == 2
+def expected_spectrum_csv(spec):
+    """CSV bytes with one SPECTRUM_PREFIX + "%.17g" line per quasienergy, (hbar, theta) order."""
+    line = SPECTRUM_PREFIX + "%.17g\n"
+    return (SPECTRUM_HEADER + "\n" + "".join(
+        line % (hb.rational_part.num, hb.rational_part.den, hb.value, float(theta), float(e))
+        for hb, eps in zip(spec.hbars, spec.energies)
+        for theta, row in zip(spec.thetas, eps) for e in row)).encode()
+
+
+def test_spectrum_csv_is_one_row_format_per_quasienergy(tmp_path):
+    """A mirrored khm butterfly and a fold-2 fractal (dkrm-resonant at odd num*den)."""
+    cfg = butterfly_config(tmp_path, prefix="bf/run", s_max=5, theta_count=3)
+    assert main([write_config(tmp_path, "bf.json", cfg)]) == 0
+    spec = butterfly_scan(KHM, 1.0, 1.0, 5, theta_count=3)
+    data = (tmp_path / "bf" / "run_spectrum.csv").read_bytes()
+    assert data == expected_spectrum_csv(spec)
+    keys = [tuple(map(float, line.split(b",")[2:4])) for line in data.splitlines()[1:]]
+    assert keys == sorted(keys)
+
+    model = ModelSpec(DKRM_RESONANT, 1.0, 1.0, parse_effective_planck("2pi*5/13"))
+    assert _period_and_fold(model, floquet_factors(model)) == (26, 2)
+    cfg = {"command": "fractal", "output_prefix": str(tmp_path / "fr" / "run"),
+           "model": {"kind": DKRM_RESONANT, "k1": 1.0, "k2": 1.0, "hbar": "2pi*5/13"},
+           "theta_count": 5}
+    assert main([write_config(tmp_path, "fr.json", cfg)]) == 0
+    data = (tmp_path / "fr" / "run_spectrum.csv").read_bytes()
+    assert data == expected_spectrum_csv(model_spectrum(model, 5))
 
 
 # ── evolve ─────────────────────────────────────────────────────────────────
@@ -275,6 +298,7 @@ def test_config_validation_failures_exit_two(tmp_path):
         {**butterfly_config(new),
          "model": {"kind": "khm", "k1": -1.0, "k2": 1.0}},
         {**butterfly_config(new), "theta_count": 0},
+        {**butterfly_config(new), "workers": 0},
         {**butterfly_config(new),                               # not coprime
          "model": {"kind": "dkrm-general", "k1": 1.0, "k2": 1.0,
                    "resonance": [2, 4]}},
@@ -309,6 +333,8 @@ def test_config_validation_failures_exit_two(tmp_path):
     ]
     for i, cfg in enumerate(bad):
         assert main([write_config(tmp_path, f"bad{i}.json", cfg)]) == 2, cfg
+    assert main([write_config(tmp_path, "ok.json", butterfly_config(new)),
+                 "--workers", "0"]) == 2
     assert not new.exists()
 
 

@@ -142,12 +142,16 @@ def test_diagonal_factor_jumps_follow_their_tags():
             assert np.max(np.abs(ratio - ratio[0])) > 1e-6, (f, d)
 
 
+def fold_of(model):
+    return spectrum._period_and_fold(model, floquet_factors(model))[1]
+
+
 def test_folded_models_commute_with_translation_by_the_folded_period():
     """The dense operator on a 2P-site ring commutes with translation by P/2
-    for every model of the sweep that bloch_fold folds (P = lattice_period)."""
+    for every model of the sweep that folds (P = lattice_period)."""
     folded = set()
     for model in period_sweep_models():
-        if spectrum.bloch_fold(model) == 1:
+        if fold_of(model) == 1:
             continue
         folded.add((model.kind, model.resonance_order))
         period = lattice_period(model)
@@ -158,8 +162,8 @@ def test_folded_models_commute_with_translation_by_the_folded_period():
     assert (DKRM_RESONANT, (1, 1)) in folded and (DKRM_GENERAL, (1, 1)) in folded
     assert all(kind != KHM for kind, _ in folded)
     fib = parse_effective_planck("2pi*89/233")
-    assert spectrum.bloch_fold(ModelSpec(DKRM_RESONANT, 1.0, 1.0, fib)) == 2
-    assert spectrum.bloch_fold(ModelSpec(KHM, 1.0, 1.0, fib)) == 1
+    assert fold_of(ModelSpec(DKRM_RESONANT, 1.0, 1.0, fib)) == 2
+    assert fold_of(ModelSpec(KHM, 1.0, 1.0, fib)) == 1
 
 
 # ── theta grid ─────────────────────────────────────────────────────────────
@@ -210,7 +214,8 @@ def test_list_resonance_is_stored_as_a_tuple():
                           build_bloch_matrix(paired, 0.7))
     scans = [butterfly_scan(DKRM_GENERAL, 1.0, 0.5, 2, 2, resonance=res)
              for res in ([1, 2], (1, 2))]
-    assert list(scans[0].rows()) == list(scans[1].rows())
+    assert scans[0].hbars == scans[1].hbars
+    assert all(map(np.array_equal, scans[0].energies, scans[1].energies))
 
 
 @pytest.mark.parametrize("model,sectors", [
@@ -365,9 +370,6 @@ def test_bloch_matrix_equals_the_kick_band_sum(model):
         assert np.max(np.abs(block - ref)) < 1e-12
 
 
-DIFFERENTIAL_THETAS = np.array([0.0, 0.37, math.pi, 4.4])
-
-
 def differential_models():
     for kind, resonance in [(KHM, None), (DKRM_RESONANT, None)] + [
             (DKRM_GENERAL, res) for res in [(1, 2), (1, 3), (3, 4), (1, 4)]]:
@@ -379,19 +381,16 @@ def differential_models():
 
 
 def test_folded_stacked_spectra_equal_the_unfolded_blocks(no_fallback):
-    """model_spectrum (and the stack at arbitrary angles) against one
-    unfolded lattice_period block per angle, solved on its own."""
+    """model_spectrum against one unfolded lattice_period block per angle,
+    solved on its own."""
     folds = set()
     for model in differential_models():
         period = lattice_period(model)
-        folds.add(spectrum.bloch_fold(model))
+        folds.add(fold_of(model))
         spec = model_spectrum(model, 4)
         assert spec.hbars == [model.hbar_eff] and len(spec.energies) == 1
         assert np.array_equal(spec.thetas, theta_grid(4))
-        stacked = list(spec.energies[0])
-        stacked += list(spectrum._bloch_spectra(model, DIFFERENTIAL_THETAS))
-        thetas = list(theta_grid(4)) + list(DIFFERENTIAL_THETAS)
-        for theta, eps in zip(thetas, stacked):
+        for theta, eps in zip(spec.thetas, spec.energies[0]):
             assert eps.shape == (period,), (model, theta)
             ref = quasienergies(build_bloch_matrix(model, theta))
             assert spectrum_set_distance(eps, ref) <= 1e-12, (model, theta)
@@ -417,7 +416,7 @@ def test_parity_leaves_the_ring_operator_unchanged():
               for kind, resonance in PERIOD_SWEEP_FAMILIES
               for r in scan_rationals(kind, 5)]
     for model in models + [ModelSpec(kind, 1.0, 1.0, fib) for kind in (KHM, DKRM_RESONANT)]:
-        folds.add(spectrum.bloch_fold(model))
+        folds.add(fold_of(model))
         n = 2 * lattice_period(model)
         ring = quantum._apply_period(quantum._kernel_tables(model, 0, n),
                                      np.eye(n, dtype=np.complex128)).T
@@ -426,50 +425,46 @@ def test_parity_leaves_the_ring_operator_unchanged():
     assert folds == {1, 2}
 
 
-def test_mirror_groups_pair_angles_by_value():
-    phis = np.array([0.3, 0.5, TWO_PI - 0.3, TWO_PI - 0.5 + 1e-9, np.pi, -0.5, 0.0, TWO_PI])
-    solved, group = spectrum._mirror_groups(phis)
-    assert np.array_equal(group[solved], np.arange(solved.size))
-    members = {frozenset(np.flatnonzero(group == g)) for g in range(solved.size)}
-    assert members == {frozenset(s) for s in ({0, 2}, {1, 5}, {3}, {4}, {6, 7})}
-
-
-def mirror_sweep_models():
+def mirror_sweep_models(s_max=9, ratio_pairs=((1.0, 0.5), (2.3, 1.1))):
     for kind, resonance in [(KHM, None), (DKRM_RESONANT, None)] + [
             (DKRM_GENERAL, res) for res in [(1, 2), (3, 4), (1, 3)]]:
-        for r in scan_rationals(kind, 9):
-            for ratios in ((1.0, 0.5), (2.3, 1.1)):
+        for r in scan_rationals(kind, s_max):
+            for ratios in ratio_pairs:
                 yield model_from_ratios(kind, *ratios, r.num, r.den, resonance)
 
 
 def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
-    """_bloch_spectra stacks floor(fold*T/2) + 1 of its fold*T half-block angles and
-    still matches one block per angle, solved on its own.  The sweep holds the
-    small fold-2 blocks, where pairing by array position instead of by angle fails."""
+    """_bloch_spectra(model, T) stacks exactly the half-block angles
+    theta_grid(fold*T)[:fold*T//2 + 1] and matches one block per angle of
+    theta_grid(T), solved on its own.  The sweep holds small fold-2 blocks and
+    odd T; at fold 2, row j joins the angles j and j + T, read as T - j."""
     stacked = []
     stack = spectrum._bloch_stack
 
-    def spy(model, phis, period):
-        stacked.append(phis.size)
-        return stack(model, phis, period)
+    def spy(factors, phis, period):
+        stacked.append(phis)
+        return stack(factors, phis, period)
 
     monkeypatch.setattr(spectrum, "_bloch_stack", spy)
     fib = parse_effective_planck("2pi*89/233")
     cases = [(model, count) for model in mirror_sweep_models() for count in (1, 2, 3, 4, 8)]
+    cases += [(model, count) for model in mirror_sweep_models(6, [(1.0, 0.5)]) for count in (5, 7)]
     cases += [(ModelSpec(KHM, 1.0, 1.0, fib), 16), (ModelSpec(DKRM_RESONANT, 1.0, 1.0, fib), 8)]
-    refs, small_folded = {}, 0     # theta_grid(8) holds the angles of 1, 2 and 4 bitwise
+    refs, folds, small_folded = {}, set(), 0  # theta_grid(8) holds those of 1, 2, 4 bitwise
     for model, count in cases:
-        fold = spectrum.bloch_fold(model)
+        fold = fold_of(model)
+        folds.add((fold, count % 2))
         small_folded += fold == 2 and lattice_period(model) <= 4
-        thetas = theta_grid(count)
         stacked.clear()
-        eps = spectrum._bloch_spectra(model, thetas)
-        assert sum(stacked) == fold * count // 2 + 1, (model, count)
-        for theta, row in zip(thetas, eps):
+        eps = spectrum._bloch_spectra(model, count)
+        n = fold * count
+        assert np.array_equal(np.concatenate(stacked), theta_grid(n)[:n // 2 + 1]), model
+        assert eps.shape == (count, lattice_period(model))
+        for theta, row in zip(theta_grid(count), eps):
             if (model, theta) not in refs:
                 refs[model, theta] = quasienergies(build_bloch_matrix(model, theta))
             assert spectrum_set_distance(row, refs[model, theta]) <= 1e-12, (model, theta)
-    assert small_folded > 0
+    assert small_folded > 0 and folds == {(1, 0), (1, 1), (2, 0), (2, 1)}
 
 
 def test_symmetry_claims_solve_every_partner_from_its_own_blocks(monkeypatch):
@@ -478,9 +473,9 @@ def test_symmetry_claims_solve_every_partner_from_its_own_blocks(monkeypatch):
     solved = []
     spectra = spectrum._bloch_spectra
 
-    def spy(model, thetas):
+    def spy(model, theta_count):
         solved.append(model)
-        return spectra(model, thetas)
+        return spectra(model, theta_count)
 
     monkeypatch.setattr(spectrum, "_bloch_spectra", spy)
     check_symmetry_claims(KHM, 1.0, 0.6, [Rational(1, 3)], theta_count=4)
@@ -512,11 +507,11 @@ def test_model_from_ratios_scales_kicks_with_planck():
 
 
 def test_butterfly_scan_rows_are_sorted_and_complete():
-    """Rows come out in (hbar, theta) order with no sort of their own: the
-    rationals and the theta grid both ascend."""
+    """The rationals and the theta grid both ascend, so the CSV rows come out in
+    (hbar, theta) order with no sort of their own; each row of energies is sorted."""
     spec = butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=4)
-    assert len(list(spec.rows())) == sum(den for _, den in
-                                         [(1, 3), (1, 2), (2, 3), (1, 1)]) * 4
+    assert sum(e.size for e in spec.energies) == sum(den for _, den in
+                                                     [(1, 3), (1, 2), (2, 3), (1, 1)]) * 4
     for kind, resonance in [(KHM, None), (DKRM_RESONANT, None), (DKRM_GENERAL, (1, 2))]:
         for cycles in (None, 1, 3):
             spec = butterfly_scan(kind, 1.0, 0.5, 3, theta_count=4,
@@ -526,10 +521,9 @@ def test_butterfly_scan_rows_are_sorted_and_complete():
             periods = [lattice_period(model_from_ratios(kind, 1.0, 0.5, r.num, r.den,
                                                         resonance)) for r in rationals]
             assert [e.shape for e in spec.energies] == [(4, p) for p in periods]
-            rows = list(spec.rows())
-            assert len(rows) == sum(periods) * 4, (kind, cycles)
-            keys = [(r[2], r[3]) for r in rows]
-            assert all(a <= b for a, b in zip(keys, keys[1:])), (kind, cycles)
+            assert np.all(np.diff([hb.value for hb in spec.hbars]) > 0), (kind, cycles)
+            assert np.array_equal(spec.thetas, theta_grid(4))
+            assert all(np.all(np.diff(e, axis=1) >= 0) for e in spec.energies)
 
 
 def test_butterfly_scan_is_worker_count_invariant():
@@ -560,15 +554,15 @@ def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(spectrum.futures, "ProcessPoolExecutor", RecordingPool)
-    serial = list(butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2).rows())
+    serial = butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2).energies
     assert len(scan_rationals(KHM, 3)) == 4  # 1/3 and 2/3 mirror: 3 are solved
     for cpus, workers, expected in [(3, 100_000, [3]), (64, 100_000, [3]),
                                     (8, 2, [2]), (None, 100_000, []), (1, 5, [])]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         created.clear()
-        rows = list(butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2, workers=workers).rows())
+        energies = butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2, workers=workers).energies
         assert created == expected, (cpus, workers)
-        assert rows == serial
+        assert len(energies) == len(serial) and all(map(np.array_equal, energies, serial))
 
 
 @pytest.mark.parametrize("kind, resonance", [(KHM, None), (DKRM_RESONANT, None),
@@ -580,11 +574,10 @@ def test_mirrored_scan_equals_a_solve_of_every_rational(kind, resonance, monkeyp
     solved = []
     spectra = spectrum._bloch_spectra
 
-    def spy(model, thetas):
+    def spy(model, theta_count):
         solved.append(model)
-        return spectra(model, thetas)
+        return spectra(model, theta_count)
 
-    thetas = theta_grid(4)
     mirrors = resonance in (None, (1, 1))
     for ratios in ((1.0, 0.5), (2.3, 1.1)):
         for cycles in (None, 3):
@@ -602,7 +595,7 @@ def test_mirrored_scan_equals_a_solve_of_every_rational(kind, resonance, monkeyp
             else:
                 assert solved == models   # no shortcut: every rational, in order
             for model, eps in zip(models, spec.energies):
-                ref = spectra(model, thetas)
+                ref = spectra(model, 4)
                 for row, ref_row in zip(eps, ref):
                     assert spectrum_set_distance(row, ref_row) <= 1e-12, (model, ratios)
 
@@ -612,7 +605,7 @@ def test_scan_workload_butterfly_solves_one_rational_per_mirror_pair(monkeypatch
     solved = []
     spectra = spectrum._bloch_spectra
     monkeypatch.setattr(spectrum, "_bloch_spectra",
-                        lambda model, thetas: solved.append(model) or spectra(model, thetas))
+                        lambda model, count: solved.append(model) or spectra(model, count))
     spec = butterfly_scan(DKRM_RESONANT, 1.0, 0.5, 24, theta_count=4)
     assert len(spec.hbars) == 360 and len(solved) == 181
 

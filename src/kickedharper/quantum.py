@@ -209,8 +209,11 @@ def _apply_period(steps, src: np.ndarray, dst: np.ndarray | None = None) -> np.n
     """Apply (kick table, diagonal tables) steps along the last axis of a state or stack
     into dst (new when None) and return it; src stays intact for a retried step."""
     dst = np.empty(src.shape, dtype=np.complex128) if dst is None else dst
+    ufuncs = np.fft._pocketfft_umath   # what np.fft.ifft/fft call, at the same scales
     for kick, tables in steps:
-        np.fft.fft(np.multiply(np.fft.ifft(src, out=dst), kick, out=dst), out=dst)
+        ufuncs.ifft(src, 1.0 / src.shape[-1], out=dst)
+        np.multiply(dst, kick, out=dst)
+        ufuncs.fft(dst, 1.0, out=dst)
         for table in tables:
             dst *= table
         src = dst
@@ -283,18 +286,20 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
         raise ValueError("n_steps and record_every must be >= 1")
     l0 = int(psi0.l_min + np.argmax(np.abs(psi0.amps)))
 
-    def lattice(l_min, n):  # kernel steps, edge margin and variance weights (l - l0)^2
+    def lattice(l_min, n):  # kernel steps, edge margin, weights (l - l0)^2, |amp|^2 buffer
         offsets = np.arange(l_min, l_min + n, dtype=np.int64).astype(np.float64) - float(l0)
-        return _kernel_tables(model, l_min, n), trigger_margin(model, n), offsets * offsets
+        return (_kernel_tables(model, l_min, n), trigger_margin(model, n), offsets * offsets,
+                np.empty(n))
     l_min, src, dst = psi0.l_min, psi0.amps.copy(), None  # the kernel allocates dst
-    tables, margin, weights = lattice(l_min, src.size)
+    tables, margin, weights, prob = lattice(l_min, src.size)
+    hbar2 = psi0.hbar_eff.value ** 2
     steps, variance, growth = [0], [momentum_variance(psi0, l0)], []
     leak = [edge_mass(psi0, margin)]
     for t in range(1, n_steps + 1):
         while True:  # src is intact until the step is accepted
             out = _apply_period(tables, src, dst)
-            prob = np.abs(out) ** 2
-            mass = float(np.sum(prob[:margin]) + np.sum(prob[-margin:]))
+            np.multiply(np.abs(out, out=prob), prob, out=prob)   # the bits of abs(out)**2
+            mass = float(np.add.reduce(prob[:margin]) + np.add.reduce(prob[-margin:]))
             if mass <= DEFAULT_LEAK_THRESHOLD:
                 break
             if math.isnan(mass):
@@ -303,12 +308,12 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
                 raise ResourceLimitError(f"lattice would exceed {max_sites} sites at step {t}")
             half = src.size // 2
             src, dst, l_min = np.pad(src, half), None, l_min - half
-            tables, margin, weights = lattice(l_min, src.size)
+            tables, margin, weights, prob = lattice(l_min, src.size)
             growth.append((t, src.size))
         src, dst = out, src
         if t % record_every == 0:
             steps.append(t)
-            variance.append(float(psi0.hbar_eff.value ** 2 * np.dot(weights, prob)))
+            variance.append(float(hbar2 * np.dot(weights, prob)))
             leak.append(mass)
     final_norm = float(np.sqrt(np.sum(prob)))
     if not abs(final_norm - 1.0) <= 1e-8:

@@ -14,7 +14,11 @@ import pytest
 import kickedharper
 from kickedharper import (DKRM_RESONANT, KHM, TRANSPORT_LABELS, ModelSpec, butterfly_scan,
                           floquet_factors, model_spectrum, parse_effective_planck)
-from kickedharper.cli import DIFFUSION_HEADER, SPECTRUM_HEADER, SPECTRUM_PREFIX, main
+from kickedharper.classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
+                                    equivalence_residual, trajectory)
+from kickedharper.cli import (DIFFUSION_HEADER, SPECTRUM_HEADER, SPECTRUM_PREFIX,
+                              SWEEP_CHUNK, main)
+from kickedharper.lattice import TWO_PI
 from kickedharper.spectrum import _period_and_fold
 
 
@@ -170,6 +174,39 @@ def test_classical_reports_map_equivalence(tmp_path):
     assert len(lines) == 1 + 41
 
 
+def whole_array_sweep(kind, k1, k2, n_points, n_steps, seed):
+    """The classical command's JSON and trajectory CSV bytes from one draw of every
+    point at once: the oracle of the chunked sweep."""
+    rng = np.random.default_rng(seed)
+    pts = PhasePoint(rng.uniform(0.0, TWO_PI, n_points), rng.uniform(0.0, TWO_PI, n_points))
+    eq_res = float(np.max(equivalence_residual(pts, k1, k2)))
+    half, comp = dkrm_half_steps(pts, k1, k2), dkrm_resonant_map(pts, k1, k2)
+    half_dev = float(max(np.max(np.abs(half.q - comp.q)), np.max(np.abs(half.p - comp.p))))
+    start = PhasePoint(float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(0.0, TWO_PI)))
+    map_kind = "khm" if kind == KHM else "dkrm"
+    rows = ("%d,%.17g,%.17g\n" % (i, pt.q, pt.p)
+            for i, pt in enumerate(trajectory(map_kind, start, n_steps, k1, k2)))
+    report = json.dumps({"map_equivalence_max_residual": eq_res,
+                         "half_step_max_deviation": half_dev, "n_points": n_points,
+                         "seed": seed, "map": map_kind, "trajectory_steps": n_steps},
+                        indent=2) + "\n"
+    return report.encode(), ("step,q,p\n" + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize("kind", [KHM, DKRM_RESONANT])
+def test_chunked_classical_sweep_matches_the_whole_array_sweep(tmp_path, kind):
+    # chunk-boundary sizes: one point, one short of a chunk, one chunk, a chunk
+    # and a point past two
+    for i, n_points in enumerate((1, SWEEP_CHUNK - 1, SWEEP_CHUNK, 2 * SWEEP_CHUNK + 1)):
+        seed, prefix = 11 + i, tmp_path / f"cl{i}"
+        cfg = {"command": "classical", "output_prefix": str(prefix), "n_points": n_points,
+               "model": {"kind": kind, "k1": 3.9, "k2": 2.1}, "n_steps": 30, "seed": seed}
+        assert main([write_config(tmp_path, "c.json", cfg)]) == 0
+        report, rows = whole_array_sweep(kind, 3.9, 2.1, n_points, 30, seed)
+        assert Path(f"{prefix}_classical.json").read_bytes() == report
+        assert Path(f"{prefix}_trajectory.csv").read_bytes() == rows
+
+
 def test_classical_rejects_the_general_resonance_model(tmp_path):
     cfg = {
         "command": "classical",
@@ -233,6 +270,28 @@ def test_every_command_runs_without_scipy(tmp_path):
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == [str([0] * 5), "[]"]
+
+
+def test_classical_sweep_memory_does_not_depend_on_n_points(tmp_path):
+    # a fresh interpreter runs the command as its only child, so RUSAGE_CHILDREN
+    # reads that child's peak; a whole-array sweep of 2e6 points peaks near 173 MB
+    cfg = write_config(tmp_path, "c.json", {
+        "command": "classical", "output_prefix": str(tmp_path / "cl"), "n_points": 2000000,
+        "model": {"kind": "khm", "k1": 1.3, "k2": 0.7}, "n_steps": 10})
+    code = ("import resource, subprocess, sys\n"
+            f"subprocess.run([sys.executable, '-m', 'kickedharper.cli', {cfg!r}], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) / 1024 < 80   # ru_maxrss is in KB on Linux
+
+
+def test_importing_the_cli_leaves_numpy_fft_unloaded():
+    # the period kernel reaches numpy.fft when it first runs, so commands that never
+    # step a lattice, and every command's set-up, do not pay for loading it
+    proc = run_python(["-c", "import sys, kickedharper.cli; print('numpy.fft' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # ── fractal ────────────────────────────────────────────────────────────────

@@ -329,7 +329,9 @@ def out_of_place_period(steps, amps):
 def test_period_kernel_fills_its_buffer_and_keeps_its_source():
     rng = np.random.default_rng(11)
     model = ModelSpec(DKRM_RESONANT, 3.9, 3.9, EffPlanck(1.0))
-    for n in (256, 8192):
+    # the kernel calls numpy's FFT ufuncs with the inverse scale 1/n itself, so sizes
+    # that are not powers of two pin that scale against np.fft in the oracle
+    for n in (19, 46, 233, 256, 466, 8192):
         steps = quantum._kernel_tables(model, -n // 2, n)
         src = rng.normal(size=n) + 1j * rng.normal(size=n)
         src0, dst = src.copy(), np.empty_like(src)

@@ -50,14 +50,15 @@ class Rational:
 
 
 def farey_sequence(s_max: int) -> list[Rational]:
-    """All reduced fractions in (0, 1] with denominator <= s_max, ascending."""
+    """All reduced fractions in (0, 1] with denominator <= s_max, ascending: neighbours
+    a/b, c/d are followed by (k c - a)/(k d - b), k = floor((s_max + b)/d)."""
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    out = [Rational(num, den)
-           for den in range(1, s_max + 1)
-           for num in range(1, den + 1)
-           if math.gcd(num, den) == 1]
-    out.sort(key=lambda r: r.as_fraction())
+    a, b, c, d, out = 0, 1, 1, s_max, []
+    while a < b:   # c/d is in (0, 1] while the term before it is below 1
+        out.append(Rational(c, d))
+        k = (s_max + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
     return out
 
 

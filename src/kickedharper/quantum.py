@@ -193,16 +193,18 @@ def apply_quadratic_phase(psi: Wavepacket, tau: float) -> Wavepacket:
     return psi.with_amps(psi.amps * table)
 
 
+def _period_steps(model: ModelSpec) -> tuple:
+    """One period as (kick strength, diagonal factors after it) per kick, in order."""
+    fs = floquet_factors(model)
+    kicks = [i for i, f in enumerate(fs) if isinstance(f, KickFactor)] + [len(fs)]
+    return tuple((fs[i].strength, fs[i + 1:j]) for i, j in zip(kicks, kicks[1:]))
+
+
 @lru_cache(maxsize=4)
 def _kernel_tables(model: ModelSpec, l_min: int, n: int) -> tuple:
     """One period's steps on n sites from l_min: each kick, then one diagonal table."""
-    groups = []
-    for f in floquet_factors(model):
-        if isinstance(f, KickFactor):
-            groups.append((f.strength, ()))
-        else:
-            groups[-1] = (groups[-1][0], groups[-1][1] + (f,))
-    return tuple((_kick_table(x, n), (_diagonal_table(fs, l_min, n),)) for x, fs in groups)
+    return tuple((_kick_table(x, n), (_diagonal_table(fs, l_min, n),))
+                 for x, fs in _period_steps(model))
 
 
 def _apply_period(steps, src: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
@@ -224,7 +226,7 @@ def trigger_margin(model: ModelSpec, n_sites: int) -> int:
     """Edge-sentinel width: combined kick bandwidth plus 8, clipped to fit.  A cutoff is
     at least floor(x) (J_m(x) > 0 for m <= x), so none is computed once floors fill it."""
     width = n_sites // 2 - 1
-    xs = [abs(f.strength) for f in floquet_factors(model) if isinstance(f, KickFactor)]
+    xs = [abs(x) for x, _ in _period_steps(model)]
     if 8 + sum(math.floor(x) for x in xs) < width:
         width = min(width, 8 + sum(kick_coefficients(x).cutoff for x in xs))
     return max(1, width)

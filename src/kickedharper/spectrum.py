@@ -21,7 +21,7 @@ from numpy.linalg import _umath_linalg
 from .analysis import spectrum_set_distance
 from .errors import ConfigError, NumericalError
 from .lattice import KHM, TWO_PI, EffPlanck, ModelSpec, Rational, farey_sequence
-from .quantum import KickFactor, _apply_period, floquet_factors
+from .quantum import _apply_period, _diagonal_table, _period_steps
 
 UNITARITY_TOL = 1e-8
 EIGENMOD_TOL = 1e-6
@@ -36,16 +36,16 @@ STACK_ENTRIES = 2 ** 16  # complex entries per stack of blocks, to bound memory
 def lattice_period(model: ModelSpec) -> int:
     """Smallest multiple of mu (the resonance denominator) over which every diagonal
     factor's tag repeats; den divides the first drift's or Harper period."""
-    return _period_and_fold(model, floquet_factors(model))[0]
+    return _period_and_fold(model, _period_steps(model))[0]
 
 
-def _period_and_fold(model: ModelSpec, factors: tuple) -> tuple:
-    """(lattice_period, fold) of a model from its floquet_factors.  The fold is 2 if the
+def _period_and_fold(model: ModelSpec, steps: tuple) -> tuple:
+    """(lattice_period, fold) of a model from its _period_steps.  The fold is 2 if the
     Floquet operator commutes with translation by lattice_period/2, else 1: kicks commute
     with every translation, diagonal factors pick up their tags' jumps."""
     if model.hbar_eff.rational_part is None:
         raise ConfigError("spectral reduction needs hbar_eff tagged as 2*pi*num/den")
-    diagonal = [f for f in factors if not isinstance(f, KickFactor)]
+    diagonal = [f for _, fs in steps for f in fs]
     period = math.lcm(model.resonance_order[1], *(f.period for f in diagonal))
     jumps = [f.jump(period // 2) for f in diagonal]
     return period, 1 if period % 2 or None in jumps or math.prod(jumps) != 1 else 2
@@ -63,29 +63,27 @@ def theta_grid(count: int) -> np.ndarray:
 def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> np.ndarray:
     """(P, P) Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l,
     P = lattice_period(model).  coeffs is ignored; some callers still pass it."""
-    return _bloch_stack(floquet_factors(model), np.array([float(theta)]),
+    return _bloch_stack(_period_steps(model), np.array([float(theta)]),
                         lattice_period(model))[0]
 
 
-def _bloch_stack(factors: tuple, phis: np.ndarray, period: int) -> np.ndarray:
-    """(B, P, P) blocks of the Floquet operator with these factors on P sites at angles phis.
+def _bloch_stack(steps: tuple, phis: np.ndarray, period: int) -> np.ndarray:
+    """(B, P, P) blocks of the Floquet operator of these steps on P sites at angles phis.
 
-    Kicks act on the grid q_k = (2*pi*k + phi)/P of the running angle phi.  A
-    diagonal factor's jump s = +-1 over P (P must be lattice_period or, at fold
-    2, its half) brings the ramp e^{-i arg(s) l/P} and moves phi by -arg(s).
+    Kicks act on the grid q_k = (2*pi*k + phi)/P of the running angle phi.  The jumps
+    s = +-1 over P of a step's diagonal factors (P must be lattice_period or, at fold
+    2, its half) bring the ramp e^{-i a l/P}, a the sum of their arg(s), and move phi by -a.
     The gauge is diag(e^{-i phi_end l/P}) on the left, diag(e^{i phi l/P}) on the right."""
     sites = np.arange(period)
     angle = phis[:, None, None]
-    steps = []
-    for f in factors:
-        if isinstance(f, KickFactor):
-            kick = np.exp(-1j * f.strength * np.cos((TWO_PI * sites + angle) / period))
-            steps.append((kick, []))
-        else:
-            arg = np.angle(f.jump(period))
-            steps[-1][1].append(f.values(sites) * np.exp(-1j * arg * sites / period))
-            angle = angle - arg
-    u = _apply_period(steps, np.broadcast_to(  # rows: basis images
+    kernel = []
+    for x, fs in steps:
+        kick = np.exp(-1j * x * np.cos((TWO_PI * sites + angle) / period))
+        arg = sum(np.angle(f.jump(period)) for f in fs)
+        ramp = np.exp(-1j * arg * sites / period)
+        kernel.append((kick, (_diagonal_table(fs, 0, period) * ramp,)))
+        angle = angle - arg
+    u = _apply_period(kernel, np.broadcast_to(  # rows: basis images
         np.eye(period, dtype=np.complex128), (phis.size, period, period)))
     u = u.swapaxes(1, 2) * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)
     u *= np.exp(1j * phis[:, None, None] * sites / period)
@@ -193,12 +191,12 @@ def _bloch_spectra(model: ModelSpec, theta_count: int) -> np.ndarray:
     At fold f the half blocks sit at theta_grid(N), N = f*T, and row j joins the blocks
     k = j + i*T, i < f.  Parity l -> -l maps the block at angle k onto the one at N - k,
     so both share a spectrum and only k = 0..N//2 is solved."""
-    factors = floquet_factors(model)
-    full, fold = _period_and_fold(model, factors)
+    steps = _period_steps(model)
+    full, fold = _period_and_fold(model, steps)
     period, n = full // fold, fold * theta_count
     phis = theta_grid(n)[:n // 2 + 1]
     chunk = max(1, STACK_ENTRIES // period ** 2)
-    eps = np.concatenate([_stack_phases(_bloch_stack(factors, phis[i:i + chunk], period))
+    eps = np.concatenate([_stack_phases(_bloch_stack(steps, phis[i:i + chunk], period))
                           for i in range(0, phis.size, chunk)])
     k = np.arange(theta_count)[:, None] + theta_count * np.arange(fold)
     return np.sort(eps[np.minimum(k, n - k)].reshape(theta_count, full), axis=1)
@@ -225,8 +223,8 @@ def scan_rationals(kind: str, s_max: int, window_cycles: int | None = None) -> l
     cycles = window_cycles if window_cycles is not None else (1 if kind == KHM else 2)
     if cycles < 1:
         raise ValueError("window_cycles must be >= 1")
-    return sorted((Rational(r.num + shift * r.den, r.den) for r in farey_sequence(s_max)
-                   for shift in range(cycles)), key=Rational.as_fraction)
+    farey = farey_sequence(s_max)   # (0, 1], so shift-major order ascends
+    return [Rational(r.num + shift * r.den, r.den) for shift in range(cycles) for r in farey]
 
 
 def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
@@ -240,9 +238,6 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
     sorted by (hbar_eff, theta) and do not depend on the worker count, which is
     capped at the number of solved rationals and of CPUs.
     """
-    for r in (ratio1, ratio2):
-        if not (r >= 0 and math.isfinite(r)):
-            raise ValueError("kick ratios must be finite and >= 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     rationals = scan_rationals(kind, s_max, window_cycles)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line driver against temporary directories."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -12,13 +13,16 @@ import numpy as np
 import pytest
 
 import kickedharper
-from kickedharper import (DKRM_RESONANT, KHM, TRANSPORT_LABELS, ModelSpec, butterfly_scan,
-                          floquet_factors, model_spectrum, parse_effective_planck)
+from kickedharper import cli, quantum, spectrum
+from kickedharper import (DKRM_RESONANT, KHM, TRANSPORT_LABELS, ModelSpec, NumericalError,
+                          build_bloch_matrix, butterfly_scan, model_spectrum,
+                          parse_effective_planck)
 from kickedharper.classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
                                     equivalence_residual, trajectory)
 from kickedharper.cli import (DIFFUSION_HEADER, SPECTRUM_HEADER, SPECTRUM_PREFIX,
                               SWEEP_CHUNK, main)
 from kickedharper.lattice import TWO_PI
+from kickedharper.quantum import _period_steps
 from kickedharper.spectrum import _period_and_fold
 
 
@@ -103,7 +107,7 @@ def test_spectrum_csv_is_one_row_format_per_quasienergy(tmp_path):
     assert keys == sorted(keys)
 
     model = ModelSpec(DKRM_RESONANT, 1.0, 1.0, parse_effective_planck("2pi*5/13"))
-    assert _period_and_fold(model, floquet_factors(model)) == (26, 2)
+    assert _period_and_fold(model, _period_steps(model)) == (26, 2)
     cfg = {"command": "fractal", "output_prefix": str(tmp_path / "fr" / "run"),
            "model": {"kind": DKRM_RESONANT, "k1": 1.0, "k2": 1.0, "hbar": "2pi*5/13"},
            "theta_count": 5}
@@ -437,3 +441,32 @@ def test_unwritable_output_prefix_exits_one(tmp_path):
         "n_steps": 20,   # a valid run: the exit code comes from the write alone
     }
     assert main([write_config(tmp_path, "c.json", cfg)]) == 1
+
+
+# ── numerical and resource guards ──────────────────────────────────────────
+
+def test_a_bloch_unitarity_defect_raises_and_exits_four(tmp_path, monkeypatch, capsys):
+    """A period kernel that scales its output by 1.001 leaves each Bloch block about
+    2e-3 off unitary, so every spectrum path raises and the CLI exits 4."""
+    kernel = spectrum._apply_period
+    monkeypatch.setattr(spectrum, "_apply_period", lambda *a: 1.001 * kernel(*a))
+    model = ModelSpec(KHM, 1.0, 1.0, parse_effective_planck("2pi*13/34"))
+    with pytest.raises(NumericalError, match="Bloch block unitarity defect"):
+        build_bloch_matrix(model, 0.3)
+    with pytest.raises(NumericalError, match="Bloch block unitarity defect"):
+        model_spectrum(model, 8)
+    cfg = {"command": "fractal", "output_prefix": str(tmp_path / "fr"),
+           "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": "2pi*13/34"},
+           "theta_count": 8}
+    assert main([write_config(tmp_path, "c.json", cfg)]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: Bloch block unitarity")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_a_lattice_beyond_max_sites_exits_three(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "evolve", functools.partial(quantum.evolve, max_sites=1024))
+    cfg = {"command": "evolve", "output_prefix": str(tmp_path / "ev"),
+           "model": {"kind": "khm", "k1": 3000.0, "k2": 1.0, "hbar": 1.0}}
+    assert main([write_config(tmp_path, "c.json", cfg)]) == 3
+    assert capsys.readouterr().err.startswith("resource limit: lattice would exceed 1024")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]

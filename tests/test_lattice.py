@@ -45,6 +45,14 @@ def test_farey_sequence_is_complete_sorted_and_reduced():
         assert set(vals) == expected
 
 
+def test_farey_sequence_matches_the_filtered_and_sorted_list():
+    for s_max in range(1, 80):
+        oracle = sorted((Rational(n, d) for d in range(1, s_max + 1)
+                         for n in range(1, d + 1) if math.gcd(n, d) == 1),
+                        key=Rational.as_fraction)
+        assert farey_sequence(s_max) == oracle, s_max
+
+
 # ── effective Planck constant ──────────────────────────────────────────────
 
 def test_parse_effective_planck_string_sets_exact_tag():

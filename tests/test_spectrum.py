@@ -24,6 +24,7 @@ from kickedharper import (
     build_bloch_matrix,
     butterfly_scan,
     check_symmetry_claims,
+    farey_sequence,
     floquet_factors,
     kick_coefficients,
     lattice_period,
@@ -143,7 +144,7 @@ def test_diagonal_factor_jumps_follow_their_tags():
 
 
 def fold_of(model):
-    return spectrum._period_and_fold(model, floquet_factors(model))[1]
+    return spectrum._period_and_fold(model, quantum._period_steps(model))[1]
 
 
 def test_folded_models_commute_with_translation_by_the_folded_period():
@@ -499,6 +500,18 @@ def test_scan_rationals_windows():
         scan_rationals(KHM, 3, window_cycles=0)
 
 
+def test_scan_rationals_match_the_sorted_shifted_farey_copies():
+    for s_max in range(1, 80):
+        farey = farey_sequence(s_max)
+        oracles = {shifts: sorted((Rational(r.num + shift * r.den, r.den) for r in farey
+                                   for shift in range(shifts)), key=Rational.as_fraction)
+                   for shifts in (1, 2, 3)}
+        for kind, default in ((KHM, 1), (DKRM_RESONANT, 2)):
+            for cycles in (None, 1, 2, 3):
+                assert scan_rationals(kind, s_max, cycles) == oracles[cycles or default], (
+                    kind, s_max, cycles)
+
+
 def test_model_from_ratios_scales_kicks_with_planck():
     m = model_from_ratios(KHM, 2.0, 0.5, 1, 4)
     assert m.hbar_eff.value == pytest.approx(TWO_PI / 4)
@@ -613,6 +626,11 @@ def test_scan_workload_butterfly_solves_one_rational_per_mirror_pair(monkeypatch
 def test_butterfly_scan_rejects_bad_arguments():
     with pytest.raises(ValueError):
         butterfly_scan(KHM, -1.0, 1.0, 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            butterfly_scan(KHM, bad, 1.0, 3)
+        with pytest.raises(ValueError):
+            butterfly_scan(DKRM_RESONANT, 1.0, bad, 3)
     with pytest.raises(ValueError):
         butterfly_scan(KHM, 1.0, 1.0, 3, workers=0)
 

@@ -35,8 +35,9 @@ class Rational:
         if num < 0:
             raise ValueError("negative rational not representable")
         g = math.gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        if g > 1 or den != self.den:   # already reduced terms are kept as given
+            object.__setattr__(self, "num", num // g)
+            object.__setattr__(self, "den", den // g)
 
     @property
     def value(self) -> float:

@@ -10,6 +10,7 @@ quasi-energy butterflies.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent import futures
@@ -25,10 +26,11 @@ from .quantum import _apply_period, _diagonal_table, _period_steps
 
 UNITARITY_TOL = 1e-8
 EIGENMOD_TOL = 1e-6
-CAYLEY_POLE = 1.0       # first pole phase; not a rational multiple of pi
+CAYLEY_TILT = 0.25      # first pole: opposite the eigenphase centroid, turned by this
 CAYLEY_CLEARANCE = 0.1  # re-solve when an eigenphase lies nearer the pole
 MOMENT_TOL = 1e-10      # per site, on the tr U and tr U^2 checks
-STACK_ENTRIES = 2 ** 16  # complex entries per stack of blocks, to bound memory
+SEAM_TOL = 1e-13        # a phase this close above -pi is -1 up to rounding: read as pi
+STACK_ENTRIES = 2 ** 13  # complex entries per stack of blocks, to bound memory
 
 
 # ── lattice periodicity ────────────────────────────────────────────────────
@@ -63,12 +65,13 @@ def theta_grid(count: int) -> np.ndarray:
 def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> np.ndarray:
     """(P, P) Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l,
     P = lattice_period(model).  coeffs is ignored; some callers still pass it."""
-    return _bloch_stack(_period_steps(model), np.array([float(theta)]),
-                        lattice_period(model))[0]
+    return _bloch_stack([_period_steps(model)], np.zeros(1, dtype=np.intp),
+                        np.array([float(theta)]), lattice_period(model))[0]
 
 
-def _bloch_stack(steps: tuple, phis: np.ndarray, period: int) -> np.ndarray:
-    """(B, P, P) blocks of the Floquet operator of these steps on P sites at angles phis.
+def _bloch_stack(steps: list, owner: np.ndarray, phis: np.ndarray, period: int) -> np.ndarray:
+    """(B, P, P) blocks on P sites: block b is the Floquet operator of the steps
+    steps[owner[b]] at angle phis[b]; every steps list has the same length.
 
     Kicks act on the grid q_k = (2*pi*k + phi)/P of the running angle phi.  The jumps
     s = +-1 over P of a step's diagonal factors (P must be lattice_period or, at fold
@@ -77,12 +80,13 @@ def _bloch_stack(steps: tuple, phis: np.ndarray, period: int) -> np.ndarray:
     sites = np.arange(period)
     angle = phis[:, None, None]
     kernel = []
-    for x, fs in steps:
-        kick = np.exp(-1j * x * np.cos((TWO_PI * sites + angle) / period))
-        arg = sum(np.angle(f.jump(period)) for f in fs)
-        ramp = np.exp(-1j * arg * sites / period)
-        kernel.append((kick, (_diagonal_table(fs, 0, period) * ramp,)))
-        angle = angle - arg
+    for step in zip(*steps):   # this step of every steps list, as (B, 1, P) tables
+        x, arg = np.array([(x, sum(np.angle(f.jump(period)) for f in fs)) for x, fs in step]).T
+        table = np.array([_diagonal_table(fs, 0, period) for _, fs in step])
+        table *= np.exp(-1j * arg[:, None] * sites / period)
+        kick = np.exp(-1j * x[owner, None, None] * np.cos((TWO_PI * sites + angle) / period))
+        kernel.append((kick, (table[owner, None],)))
+        angle = angle - arg[owner, None, None]
     u = _apply_period(kernel, np.broadcast_to(  # rows: basis images
         np.eye(period, dtype=np.complex128), (phis.size, period, period)))
     u = u.swapaxes(1, 2) * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)
@@ -101,10 +105,12 @@ def quasienergies(u: np.ndarray) -> np.ndarray:
 def _stack_phases(u: np.ndarray) -> np.ndarray:
     """Sorted eigenphases in (-pi, pi] of each unitary block of a (B, P, P) stack.
 
-    A block with an eigenphase within CAYLEY_CLEARANCE of the first pole is
-    re-solved with the pole in the middle of its widest gap; one that fails the
-    tr U and tr U^2 check falls back to dense eigvals."""
-    eps, clearance = _cayley_phases(u, CAYLEY_POLE)
+    The first pole, CAYLEY_TILT - arg(-tr U), lies opposite the eigenphase centroid: in
+    the gap of a spectrum that spans less than the circle, and off the eigenphases 0 and
+    pi of one symmetric about 0 (tr U real).  A block with an eigenphase within
+    CAYLEY_CLEARANCE of it is re-solved at the middle of its widest gap, and one that
+    fails the tr U and tr U^2 check falls back to dense eigvals."""
+    eps, clearance = _cayley_phases(u, CAYLEY_TILT - np.angle(-np.trace(u, axis1=1, axis2=2)))
     redo = np.flatnonzero(clearance < CAYLEY_CLEARANCE)
     if redo.size:
         ring = np.concatenate([eps[redo], eps[redo, :1] + TWO_PI], axis=1)
@@ -160,8 +166,8 @@ def _eigvals_phases(u: np.ndarray) -> np.ndarray:
 
 
 def _sorted_half_open(eps: np.ndarray) -> np.ndarray:
-    """Phases in [-pi, pi] moved into (-pi, pi] and sorted in place."""
-    eps[eps <= -np.pi] += TWO_PI
+    """Phases in [-pi, pi] moved into (-pi, pi] and sorted in place (see SEAM_TOL)."""
+    eps[eps <= SEAM_TOL - np.pi] = np.pi
     eps.sort()
     return eps
 
@@ -185,32 +191,56 @@ def model_from_ratios(kind: str, ratio1: float, ratio2: float, num: int, den: in
     return ModelSpec(kind, ratio1 * hb.value, ratio2 * hb.value, hb, resonance)
 
 
-def _bloch_spectra(model: ModelSpec, theta_count: int) -> np.ndarray:
-    """(T, lattice_period) sorted quasienergies on theta_grid(T), from chunked stacks.
+def _bloch_spectra(models: list, theta_count: int, workers: int = 1) -> list:
+    """Each model's (T, lattice_period) sorted quasienergies on theta_grid(T).
 
     At fold f the half blocks sit at theta_grid(N), N = f*T, and row j joins the blocks
     k = j + i*T, i < f.  Parity l -> -l maps the block at angle k onto the one at N - k,
-    so both share a spectrum and only k = 0..N//2 is solved."""
-    steps = _period_steps(model)
-    full, fold = _period_and_fold(model, steps)
-    period, n = full // fold, fold * theta_count
-    phis = theta_grid(n)[:n // 2 + 1]
-    chunk = max(1, STACK_ENTRIES // period ** 2)
-    eps = np.concatenate([_stack_phases(_bloch_stack(steps, phis[i:i + chunk], period))
-                          for i in range(0, phis.size, chunk)])
-    k = np.arange(theta_count)[:, None] + theta_count * np.arange(fold)
-    return np.sort(eps[np.minimum(k, n - k)].reshape(theta_count, full), axis=1)
+    so only k = 0..N//2 is solved.  The blocks of all models with one half period (and
+    step count) share stacks of <= STACK_ENTRIES entries; the pool maps over the stacks."""
+    steps = [_period_steps(m) for m in models]
+    shapes = [_period_and_fold(m, s) for m, s in zip(models, steps)]
+    groups, stacks = {}, []   # (half period, step count): models; (steps, owner, phis, P)
+    for i, (full, fold) in enumerate(shapes):
+        groups.setdefault((full // fold, len(steps[i])), []).append(i)
+    for (period, _), members in groups.items():
+        grids = [theta_grid(shapes[i][1] * theta_count) for i in members]
+        owner = np.repeat(np.arange(len(members)), [g.size // 2 + 1 for g in grids])
+        phis = np.concatenate([g[:g.size // 2 + 1] for g in grids])
+        chunk = max(1, STACK_ENTRIES // period ** 2)
+        for c in range(0, owner.size, chunk):   # the members part[0]..part[-1]
+            part = owner[c:c + chunk]
+            stacks.append(([steps[i] for i in members[part[0]:part[-1] + 1]], part - part[0],
+                           phis[c:c + chunk], period))
+    workers = min(workers, len(stacks), os.cpu_count() or 1)
+    if workers > 1:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_solve_stack, stacks,
+                                   chunksize=max(1, len(stacks) // (4 * workers))))
+    else:
+        solved = map(_solve_stack, stacks)
+    rows, out = itertools.chain.from_iterable(solved), [None] * len(models)
+    for i in itertools.chain.from_iterable(groups.values()):   # the order of the rows
+        (full, fold), n = shapes[i], shapes[i][1] * theta_count
+        k = np.arange(theta_count)[:, None] + theta_count * np.arange(fold)
+        eps = np.array(list(itertools.islice(rows, n // 2 + 1)))[np.minimum(k, n - k)]
+        out[i] = np.sort(eps.reshape(theta_count, full), axis=1)
+    return out
+
+
+def _solve_stack(stack: tuple) -> np.ndarray:
+    return _stack_phases(_bloch_stack(*stack))   # one stack of _bloch_spectra
 
 
 def model_spectrum(model: ModelSpec, theta_count: int) -> SpectrumSet:
     """Spectrum of one model over the full Bloch-angle grid."""
     return SpectrumSet([model.hbar_eff], theta_grid(theta_count),
-                       [_bloch_spectra(model, theta_count)])
+                       _bloch_spectra([model], theta_count))
 
 
 def aggregated_energies(model: ModelSpec, theta_count: int) -> np.ndarray:
     """Sorted union of quasienergies over the Bloch-angle grid."""
-    return np.sort(_bloch_spectra(model, theta_count), axis=None)
+    return np.sort(_bloch_spectra([model], theta_count)[0], axis=None)
 
 
 def scan_rationals(kind: str, s_max: int, window_cycles: int | None = None) -> list:
@@ -236,7 +266,7 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
     ratio1 and ratio2 are the kick strengths in units of hbar_eff, held fixed
     across the scan so every rational shares the same kick profile.  Results are
     sorted by (hbar_eff, theta) and do not depend on the worker count, which is
-    capped at the number of solved rationals and of CPUs.
+    capped at the number of Bloch stacks and of CPUs.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -247,15 +277,8 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
     span = 1 if kind == KHM else 2 if models[0].resonance_order == (1, 1) else 0
     index = {(r.num, r.den): i for i, r in enumerate(rationals)}
     rep = [min(i, index.get((span * r.den - r.num, r.den), i)) for i, r in enumerate(rationals)]
-    solved = sorted(set(rep))   # the lower rational of each pair
-    args = [models[i] for i in solved], [theta_count] * len(solved)
-    workers = min(workers, len(solved), os.cpu_count() or 1)
-    if workers > 1:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            energies = dict(zip(solved, pool.map(
-                _bloch_spectra, *args, chunksize=max(1, len(solved) // (4 * workers)))))
-    else:
-        energies = dict(zip(solved, map(_bloch_spectra, *args)))
+    solved = {i: models[i] for i in sorted(set(rep))}   # the lower rational of each pair
+    energies = dict(zip(solved, _bloch_spectra(list(solved.values()), theta_count, workers)))
     return SpectrumSet([m.hbar_eff for m in models], theta_grid(theta_count),
                        [energies[i] for i in rep])
 
@@ -286,25 +309,16 @@ def check_symmetry_claims(kind: str, ratio1: float, ratio2: float, rationals,
     about 2*pi, and invariance under swapping the two kick strengths.
     Claims whose partner falls outside hbar_eff > 0 are skipped.
     """
-    def agg(r1, r2, num, den):
-        model = model_from_ratios(kind, r1, r2, num, den, resonance)
-        return aggregated_energies(model, theta_count)
-
-    reports = []
+    span, about = (1, "pi") if kind == KHM else (2, "2*pi")
+    claims = []   # (name, rational, base model, partner model)
     for r in rationals:
-        num, den = r.num, r.den
-        base = agg(ratio1, ratio2, num, den)
-        if kind == KHM:
-            claims = [("period 2*pi", num + den), ("mirror about pi", den - num)]
-        else:
-            claims = [("period 4*pi", num + 2 * den),
-                      ("mirror about 2*pi", 2 * den - num)]
-        for name, partner_num in claims:
-            if partner_num < 1:
-                continue
-            dist = spectrum_set_distance(base, agg(ratio1, ratio2, partner_num, den))
-            reports.append(SymmetryReport(name, str(r), dist, tol))
-        if kind != KHM:
-            dist = spectrum_set_distance(base, agg(ratio2, ratio1, num, den))
-            reports.append(SymmetryReport("kick swap", str(r), dist, tol))
-    return reports
+        base = model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
+        partners = [(f"period {2 * span}*pi", ratio1, ratio2, r.num + span * r.den),
+                    (f"mirror about {about}", ratio1, ratio2, span * r.den - r.num)]
+        partners += [] if kind == KHM else [("kick swap", ratio2, ratio1, r.num)]
+        claims += [(name, r, base, model_from_ratios(kind, r1, r2, num, r.den, resonance))
+                   for name, r1, r2, num in partners if num >= 1]
+    models = list(dict.fromkeys(m for claim in claims for m in claim[2:]))
+    spectra = dict(zip(models, _bloch_spectra(models, theta_count)))
+    return [SymmetryReport(name, str(r), spectrum_set_distance(spectra[a], spectra[b]), tol)
+            for name, r, a, b in claims]

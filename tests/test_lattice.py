@@ -17,6 +17,7 @@ from kickedharper.lattice import DKRM_GENERAL, DKRM_RESONANT, KHM, TWO_PI
 def test_rational_reduces_and_normalizes_sign():
     assert Rational(6, 4) == Rational(3, 2)
     assert Rational(-3, -6) == Rational(1, 2)
+    assert (Rational(-1, -2).num, Rational(-1, -2).den) == (1, 2)  # only the signs move
     assert str(Rational(10, 15)) == "2/3"
     assert Rational(8, 12) == Rational(2, 3)
     assert Rational(5, 7).value == pytest.approx(5 / 7, abs=0)

@@ -1,5 +1,6 @@
 """Bloch reduction against a dense ring oracle, scan plumbing, symmetries."""
 
+import json
 import math
 import os
 
@@ -36,6 +37,7 @@ from kickedharper import (
     spectrum_set_distance,
     theta_grid,
 )
+from kickedharper.cli import main
 
 TWO_PI = 2.0 * math.pi
 
@@ -250,6 +252,16 @@ def test_quasienergies_wrap_into_the_half_open_interval():
         quasienergies(np.array([[0.5 + 0j]]))
 
 
+def test_an_eigenphase_within_rounding_of_minus_pi_reads_as_pi():
+    """Either side of the seam is -1 up to rounding; the row ends in pi so that it does
+    not depend on which side a solve's rounding fell on."""
+    seam = spectrum.SEAM_TOL
+    assert spectrum._sorted_half_open(np.array([seam / 2 - np.pi, 0.5])).tolist() == [0.5, np.pi]
+    assert spectrum._sorted_half_open(np.array([2 * seam - np.pi, 0.5]))[0] == 2 * seam - np.pi
+    eps = quasienergies(np.diag(np.exp(-1j * np.array([0.3, 1e-15 - np.pi]))))
+    assert eps.tolist() == [pytest.approx(0.3, abs=1e-14), np.pi]
+
+
 # ── Cayley eigen-solve against the dense eigvals oracle ────────────────────
 
 def assert_matches_oracle(block):
@@ -300,6 +312,8 @@ def test_cayley_solve_matches_eigvals_at_the_fibonacci_rational(kind, period,
 
 
 def test_eigenphase_at_the_first_pole_forces_one_re_solve(monkeypatch, no_fallback):
+    """The first pole is CAYLEY_TILT - arg(-tr U), so at CAYLEY_TILT - pi when tr U is
+    real and positive; the last eigenphase cancels the sines, making tr U real."""
     poles = []
     solve = spectrum._cayley_phases
 
@@ -308,10 +322,79 @@ def test_eigenphase_at_the_first_pole_forces_one_re_solve(monkeypatch, no_fallba
         return solve(u, pole)
 
     monkeypatch.setattr(spectrum, "_cayley_phases", spy)
-    eps = np.array([-2.5, 0.3, spectrum.CAYLEY_POLE, 2.9])
+    pole = spectrum.CAYLEY_TILT - np.pi
+    head = np.array([-1.0, 0.3, pole])
+    eps = np.append(head, np.arcsin(-np.sin(head).sum()))
+    assert np.exp(-1j * eps).sum().real > 0
     assert_matches_oracle(np.diag(np.exp(-1j * eps)))
-    assert len(poles) == 2 and poles[0] == spectrum.CAYLEY_POLE
-    assert abs(poles[1] - (-2.5 + 0.3) / 2) < 1e-12      # the widest gap
+    assert len(poles) == 2 and abs(wrap_phase(poles[0] - pole)) < 1e-12
+    assert abs(poles[1] - (eps[-1] + pole + TWO_PI) / 2) < 1e-12   # the widest gap
+
+
+@pytest.fixture
+def cayley_calls(monkeypatch):
+    """Blocks per _cayley_phases call, tagged 1 for a first pass and 2 for a re-solve
+    (the call after a first pass within one _stack_phases)."""
+    calls, solve, stack_phases = [], spectrum._cayley_phases, spectrum._stack_phases
+
+    def stacked(u):
+        calls.append(None)
+        return stack_phases(u)
+
+    def spy(u, pole):
+        calls.append((1 if calls[-1] is None else 2, u.shape[0]))
+        return solve(u, pole)
+
+    monkeypatch.setattr(spectrum, "_stack_phases", stacked)
+    monkeypatch.setattr(spectrum, "_cayley_phases", spy)
+    return calls
+
+
+def test_gapped_scan_spectra_are_solved_once_per_block(tmp_path, cayley_calls, no_fallback):
+    """The benchmark's scan configs (dkrm-resonant k/hbar 1.0 and 0.5): the kicks leave
+    a gap of about pi - 1.5 around the tilted trace pole, so no block is re-solved."""
+    model = {"kind": DKRM_RESONANT, "k1": 1.0, "k2": 0.5}
+    for cfg, blocks in [({"command": "butterfly", "s_max": 24, "theta_count": 4}, 661),
+                        ({"command": "check-symmetries", "s_max": 20, "theta_count": 32,
+                          "n_rationals": 10}, 808)]:
+        cayley_calls.clear()
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(cfg, model=model,
+                                        output_prefix=str(tmp_path / cfg["command"]))))
+        assert main([str(path)]) == 0
+        passes = [c for c in cayley_calls if c is not None]
+        assert sum(n for tag, n in passes if tag == 1) == blocks
+        assert [c for c in passes if c[0] == 2] == [], cfg["command"]
+
+
+def test_full_circle_spectra_are_re_solved_and_match_eigvals(cayley_calls, no_fallback):
+    """Spectra that wrap the circle (a double kick off the principal resonance, or khm
+    with k/hbar summing above pi) leave no gap opposite the centroid: some blocks need
+    the widest-gap re-solve, and every block still matches eigvals."""
+    for kind, ratios, resonance in [(DKRM_GENERAL, (1.0, 2.0), (1, 2)),
+                                    (KHM, (2.5, 1.5), None)]:
+        cayley_calls.clear()
+        for r in scan_rationals(kind, 8):
+            model = model_from_ratios(kind, *ratios, r.num, r.den, resonance)
+            for theta in SOLVER_THETAS:
+                assert_matches_oracle(build_bloch_matrix(model, theta))
+        assert any(c is not None and c[0] == 2 for c in cayley_calls), kind
+
+
+def test_first_pole_lies_opposite_the_spectral_centroid(monkeypatch, no_fallback):
+    """A spectrum within an arc about c gets its first pole near c + pi (turned by
+    CAYLEY_TILT), well clear of every eigenphase, so it is solved once."""
+    poles = []
+    solve = spectrum._cayley_phases
+    monkeypatch.setattr(spectrum, "_cayley_phases",
+                        lambda u, pole: poles.append(pole) or solve(u, pole))
+    for c in (-2.5, 0.0, 1.0, 2.0):
+        poles.clear()
+        eps = wrap_phase(c + np.array([-0.3, 0.0, 0.2, 0.35]))
+        assert_matches_oracle(np.diag(np.exp(-1j * eps)))
+        assert len(poles) == 1, c
+        gap = np.abs(wrap_phase(poles[0] - eps))
+        assert gap.min() > np.pi - 0.35 - spectrum.CAYLEY_TILT - 0.05, c
 
 
 def test_failed_moment_check_falls_back_to_eigvals(monkeypatch):
@@ -326,7 +409,7 @@ def test_failed_moment_check_falls_back_to_eigvals(monkeypatch):
     # eigenvalues 1 and -1 lie on the unit circle, but the block is not
     # normal, so its Cayley transform is not Hermitian
     block = np.array([[1.0, 0.0], [5.0, -1.0]], dtype=complex)
-    eps, _ = spectrum._cayley_phases(block, spectrum.CAYLEY_POLE)
+    eps, _ = spectrum._cayley_phases(block, 1.0)
     assert not spectrum._moments_match(block, eps)
     assert np.allclose(quasienergies(block), [0.0, np.pi], atol=1e-12)
     assert fallbacks == [(2, 2)]
@@ -442,9 +525,9 @@ def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
     stacked = []
     stack = spectrum._bloch_stack
 
-    def spy(factors, phis, period):
+    def spy(steps, owner, phis, period):
         stacked.append(phis)
-        return stack(factors, phis, period)
+        return stack(steps, owner, phis, period)
 
     monkeypatch.setattr(spectrum, "_bloch_stack", spy)
     fib = parse_effective_planck("2pi*89/233")
@@ -457,7 +540,7 @@ def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
         folds.add((fold, count % 2))
         small_folded += fold == 2 and lattice_period(model) <= 4
         stacked.clear()
-        eps = spectrum._bloch_spectra(model, count)
+        eps = spectrum._bloch_spectra([model], count)[0]
         n = fold * count
         assert np.array_equal(np.concatenate(stacked), theta_grid(n)[:n // 2 + 1]), model
         assert eps.shape == (count, lattice_period(model))
@@ -468,15 +551,40 @@ def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
     assert small_folded > 0 and folds == {(1, 0), (1, 1), (2, 0), (2, 1)}
 
 
+def test_one_stack_of_many_models_equals_their_own_stacks(monkeypatch, no_fallback):
+    """_bloch_spectra stacks the blocks of all its models by half period; a block's
+    spectrum must not depend on its stack mates.  The sweep mixes kinds, fold-2
+    blocks and odd T, and the kick-swap partners put two kick profiles in one stack."""
+    mixed = []
+    stack = spectrum._bloch_stack
+
+    def spy(steps, owner, phis, period):
+        mixed.append(len({tuple(x for x, _ in s) for s in steps}) > 1)
+        return stack(steps, owner, phis, period)
+
+    swapped = [model_from_ratios(DKRM_RESONANT, *ratios, num, den)
+               for num, den in [(1, 3), (2, 3), (1, 4), (3, 5)]
+               for ratios in [(0.9, 0.4), (0.4, 0.9)]]
+    monkeypatch.setattr(spectrum, "_bloch_stack", spy)
+    for models in [list(mirror_sweep_models()), swapped]:
+        folds = {fold_of(m) for m in models}
+        for count in (3, 4):
+            mixed.clear()
+            together = spectrum._bloch_spectra(models, count)
+            assert any(mixed) and folds == {1, 2}
+            for model, eps in zip(models, together):
+                assert np.array_equal(eps, spectrum._bloch_spectra([model], count)[0]), model
+
+
 def test_symmetry_claims_solve_every_partner_from_its_own_blocks(monkeypatch):
     """A partner spectrum derived from the base one would make each claim hold
     by construction, so every claim's model goes through _bloch_spectra."""
     solved = []
     spectra = spectrum._bloch_spectra
 
-    def spy(model, theta_count):
-        solved.append(model)
-        return spectra(model, theta_count)
+    def spy(models, theta_count, workers=1):
+        solved.extend(models)
+        return spectra(models, theta_count, workers)
 
     monkeypatch.setattr(spectrum, "_bloch_spectra", spy)
     check_symmetry_claims(KHM, 1.0, 0.6, [Rational(1, 3)], theta_count=4)
@@ -568,7 +676,7 @@ def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch):
 
     monkeypatch.setattr(spectrum.futures, "ProcessPoolExecutor", RecordingPool)
     serial = butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2).energies
-    assert len(scan_rationals(KHM, 3)) == 4  # 1/3 and 2/3 mirror: 3 are solved
+    assert len(scan_rationals(KHM, 3)) == 4  # 1/3 and 2/3 mirror: 3 solved, one stack each
     for cpus, workers, expected in [(3, 100_000, [3]), (64, 100_000, [3]),
                                     (8, 2, [2]), (None, 100_000, []), (1, 5, [])]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -587,9 +695,9 @@ def test_mirrored_scan_equals_a_solve_of_every_rational(kind, resonance, monkeyp
     solved = []
     spectra = spectrum._bloch_spectra
 
-    def spy(model, theta_count):
-        solved.append(model)
-        return spectra(model, theta_count)
+    def spy(models, theta_count, workers=1):
+        solved.extend(models)
+        return spectra(models, theta_count, workers)
 
     mirrors = resonance in (None, (1, 1))
     for ratios in ((1.0, 0.5), (2.3, 1.1)):
@@ -608,7 +716,7 @@ def test_mirrored_scan_equals_a_solve_of_every_rational(kind, resonance, monkeyp
             else:
                 assert solved == models   # no shortcut: every rational, in order
             for model, eps in zip(models, spec.energies):
-                ref = spectra(model, 4)
+                ref = spectra([model], 4)[0]
                 for row, ref_row in zip(eps, ref):
                     assert spectrum_set_distance(row, ref_row) <= 1e-12, (model, ratios)
 
@@ -618,7 +726,8 @@ def test_scan_workload_butterfly_solves_one_rational_per_mirror_pair(monkeypatch
     solved = []
     spectra = spectrum._bloch_spectra
     monkeypatch.setattr(spectrum, "_bloch_spectra",
-                        lambda model, count: solved.append(model) or spectra(model, count))
+                        lambda models, count, workers=1: solved.extend(models)
+                        or spectra(models, count, workers))
     spec = butterfly_scan(DKRM_RESONANT, 1.0, 0.5, 24, theta_count=4)
     assert len(spec.hbars) == 360 and len(solved) == 181
 

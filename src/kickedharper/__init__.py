@@ -5,11 +5,9 @@ from .analysis import (BALLISTIC, DIFFUSIVE, LOCALIZED, SUBDIFFUSIVE,
                        box_counting_dimension, classify_transport,
                        fit_power_law, hausdorff_from_alpha,
                        spectrum_set_distance)
-from .classical import (PhasePoint, canonical_transform,
-                        canonical_transform_inverse, circular_distance,
-                        dkrm_half_steps, dkrm_jacobian, dkrm_resonant_map,
-                        equivalence_residual, khm_jacobian, khm_map,
-                        trajectory)
+from .classical import (PhasePoint, canonical_transform, circular_distance,
+                        dkrm_half_steps, dkrm_resonant_map, equivalence_residual,
+                        khm_map, orbit, trajectory)
 from .errors import (ConfigError, LatticeOverflowError, NumericalError,
                      ResourceLimitError)
 from .lattice import (DKRM_GENERAL, DKRM_RESONANT, KHM, MODEL_KINDS,

@@ -51,6 +51,12 @@ def fit_power_law(series, window) -> PowerLawFit:
                        (float(t_lo), float(t_hi)), rms)
 
 
+def _median(x) -> float:
+    """np.median of a NaN-free 1-D array, from a sort (np.median loads numpy.ma)."""
+    s, mid = np.sort(x), x.size // 2
+    return s[mid] if x.size % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def classify_transport(fit: PowerLawFit, series) -> str:
     """Label the run localized, subdiffusive, diffusive, or ballistic.
 
@@ -65,7 +71,7 @@ def classify_transport(fit: PowerLawFit, series) -> str:
     t_max = steps[-1]
     last = var[steps > t_max / 10]
     prev = var[(steps > t_max / 100) & (steps <= t_max / 10)]
-    if last.size and prev.size and np.median(last) < 2.0 * np.median(prev):
+    if last.size and prev.size and _median(last) < 2.0 * _median(prev):
         return LOCALIZED
     if fit.alpha >= 1.8:
         return BALLISTIC
@@ -110,7 +116,8 @@ def box_counting_dimension(points, scales=DEFAULT_BOX_SCALES) -> BoxCountResult:
     if any(int(s) < 1 for s in scales):
         raise ValueError("scales must be positive box counts")
     frac = np.mod(pts + np.pi, TWO_PI) / TWO_PI
-    n_distinct = np.unique(pts).size
+    ordered = np.sort(pts)   # counts from sorts and bincounts: np.unique loads numpy.ma
+    n_distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     if n_distinct == 1:
         return BoxCountResult(0.0, 0.0, tuple(int(s) for s in scales),
                               (1,) * len(scales))
@@ -118,7 +125,7 @@ def box_counting_dimension(points, scales=DEFAULT_BOX_SCALES) -> BoxCountResult:
     for s in scales:
         s = int(s)
         idx = np.minimum(np.floor(frac * s).astype(np.int64), s - 1)
-        counts.append(int(np.unique(idx).size))
+        counts.append(int(np.count_nonzero(np.bincount(idx, minlength=s))))
     scales = [int(s) for s in scales]
     kept = [(s, c) for s, c in zip(scales, counts) if c < s and c < n_distinct]
     if len(kept) < 2:

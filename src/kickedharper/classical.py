@@ -9,6 +9,7 @@ wrapping breaks the conjugacy).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,6 @@ class PhasePoint:
 
     q: object
     p: object
-
-
-def _wrap(q):
-    return np.mod(q, TWO_PI)
 
 
 def circular_distance(a, b):
@@ -56,8 +53,9 @@ def dkrm_resonant_map(pt: PhasePoint, k1: float, k2: float) -> PhasePoint:
     """One-period composed map:
     p' = p + k2 sin[q + p + k1 sin q] + k1 sin q;  q' = q - k2 sin[q + p + k1 sin q].
     """
-    inner = np.sin(pt.q + pt.p + k1 * np.sin(pt.q))
-    p_new = pt.p + k2 * inner + k1 * np.sin(pt.q)
+    kick = k1 * np.sin(pt.q)
+    inner = np.sin(pt.q + pt.p + kick)
+    p_new = pt.p + k2 * inner + kick
     q_new = pt.q - k2 * inner
     return PhasePoint(q_new, p_new)
 
@@ -65,11 +63,6 @@ def dkrm_resonant_map(pt: PhasePoint, k1: float, k2: float) -> PhasePoint:
 def canonical_transform(pt: PhasePoint) -> PhasePoint:
     """Shear to the Harper frame: (q, p) -> (q, p + q)."""
     return PhasePoint(pt.q, pt.p + pt.q)
-
-
-def canonical_transform_inverse(pt: PhasePoint) -> PhasePoint:
-    """Inverse shear: (Q, P) -> (Q, P - Q)."""
-    return PhasePoint(pt.q, pt.p - pt.q)
 
 
 def equivalence_residual(pt: PhasePoint, k1: float, k2: float):
@@ -84,38 +77,33 @@ def equivalence_residual(pt: PhasePoint, k1: float, k2: float):
     return np.maximum(dq, dp)
 
 
-# ── derivatives and iteration ──────────────────────────────────────────────
+# ── iteration ──────────────────────────────────────────────────────────────
 
-def khm_jacobian(pt: PhasePoint, k1: float, k2: float) -> np.ndarray:
-    """d(q', p')/d(q, p) for the kicked Harper map (unit determinant)."""
-    cq = k1 * np.cos(pt.q)
-    cp = k2 * np.cos(pt.p + k1 * np.sin(pt.q))
-    return np.array([[1.0 - cp * cq, -cp],
-                     [cq, 1.0]])
+def orbit(map_kind: str, q: float, p: float, n: int, k1: float, k2: float):
+    """Yield the n + 1 points (q mod 2*pi, p) of the chosen map's orbit from (q, p).
 
-
-def dkrm_jacobian(pt: PhasePoint, k1: float, k2: float) -> np.ndarray:
-    """d(q', p')/d(q, p) for the composed double-kick map (unit determinant)."""
-    cq = k1 * np.cos(pt.q)
-    cu = np.cos(pt.q + pt.p + k1 * np.sin(pt.q))
-    return np.array([[1.0 - k2 * cu * (1.0 + cq), -k2 * cu],
-                     [cq + k2 * cu * (1.0 + cq), 1.0 + k2 * cu]])
-
-
-_MAPS = {"khm": khm_map, "dkrm": dkrm_resonant_map}
+    The map's own update on Python floats: math.sin and % give the bits of np.sin
+    and np.mod on float64 scalars without making a numpy scalar per operation.
+    """
+    if map_kind not in ("khm", "dkrm"):
+        raise ValueError(f"unknown map kind {map_kind!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    sin, harper = math.sin, map_kind == "khm"
+    yield q % TWO_PI, p
+    for _ in range(n):
+        if harper:
+            p = p + k1 * sin(q)
+            q = q - k2 * sin(p)
+        else:
+            kick = k1 * sin(q)
+            inner = sin(q + p + kick)
+            q, p = q - k2 * inner, p + k2 * inner + kick
+        yield q % TWO_PI, p
 
 
 def trajectory(map_kind: str, pt0: PhasePoint, n: int,
                k1: float, k2: float) -> list[PhasePoint]:
     """n iterates of the chosen map, starting point included, q reported mod 2*pi."""
-    if map_kind not in _MAPS:
-        raise ValueError(f"unknown map kind {map_kind!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    step = _MAPS[map_kind]
-    out = [PhasePoint(_wrap(pt0.q), pt0.p)]
-    pt = pt0
-    for _ in range(n):
-        pt = step(pt, k1, k2)
-        out.append(PhasePoint(_wrap(pt.q), pt.p))
-    return out
+    return [PhasePoint(q, p)
+            for q, p in orbit(map_kind, float(pt0.q), float(pt0.p), n, k1, k2)]

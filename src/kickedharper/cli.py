@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import (DEFAULT_BOX_SCALES, LOCALIZED, MIN_BOX_POINTS,
                        box_counting_dimension, classify_transport, fit_power_law)
 from .classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
-                        equivalence_residual, trajectory)
+                        equivalence_residual, orbit)
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .lattice import (KHM, TWO_PI, ModelSpec, Wavepacket,
                       farey_sequence, parse_effective_planck)
@@ -214,9 +214,9 @@ SPECTRUM_HEADER = "hbar_num,hbar_den,hbar,theta,quasienergy"
 SPECTRUM_PREFIX = "%d,%d,%.17g,%.17g,"  # then one quasienergy per row
 DIFFUSION_HEADER = "step,variance,edge_mass"
 DIFFUSION_ROW = "%d,%.17g,%.17g\n"
-# points per chunk of the classical sweep (128 KB per array), so its memory does not
+# points per chunk of the classical sweep (32 KB per array), so its memory does not
 # grow with n_points; every map is pointwise and max is exact, so outputs do not move
-SWEEP_CHUNK = 1 << 14
+SWEEP_CHUNK = 1 << 12
 
 
 def _write_plot(prefix: str, template: str, csv_path: str):
@@ -283,11 +283,10 @@ def run_classical(model: ModelSpec, knobs: dict, prefix: str) -> int:
                            np.max(np.abs(half.q - comp.q)),
                            np.max(np.abs(half.p - comp.p))], out=worst)
     eq_res, half_dev = float(worst[0]), float(max(worst[1], worst[2]))
-    start = PhasePoint(float(p_rng.uniform(0.0, TWO_PI)),
-                       float(p_rng.uniform(0.0, TWO_PI)))
-    traj = trajectory(map_kind, start, n_steps, k1, k2)
-    _write_csv(prefix + "_trajectory.csv", "step,q,p",
-               ("%d,%.17g,%.17g\n" % (i, pt.q, pt.p) for i, pt in enumerate(traj)))
+    q0, p0 = p_rng.uniform(0.0, TWO_PI), p_rng.uniform(0.0, TWO_PI)   # Python floats
+    _write_csv(prefix + "_trajectory.csv", "step,q,p", (
+        "%d,%.17g,%.17g\n" % (i, q, p)
+        for i, (q, p) in enumerate(orbit(map_kind, q0, p0, n_steps, k1, k2))))
     _write_json(prefix + "_classical.json", {
         "map_equivalence_max_residual": eq_res,
         "half_step_max_deviation": half_dev,
@@ -322,8 +321,8 @@ def run_check_symmetries(model: ModelSpec, knobs: dict, prefix: str) -> int:
     interior = [r for r in farey_sequence(knobs["s_max"]) if r.num < r.den]
     n_rationals = knobs["n_rationals"]
     if n_rationals < len(interior):
-        idx = np.unique(np.round(
-            np.linspace(0, len(interior) - 1, n_rationals)).astype(int))
+        idx = sorted(set(np.round(
+            np.linspace(0, len(interior) - 1, n_rationals)).astype(int).tolist()))
         interior = [interior[i] for i in idx]
     reports = check_symmetry_claims(model.kind, model.k1, model.k2, interior,
                                     knobs["theta_count"], float(knobs["tolerance"]),

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from kickedharper import (PhasePoint, canonical_transform,
-                          canonical_transform_inverse, circular_distance,
-                          dkrm_half_steps, dkrm_jacobian, dkrm_resonant_map,
-                          equivalence_residual, khm_jacobian, khm_map,
-                          trajectory)
+from kickedharper import (PhasePoint, canonical_transform, circular_distance,
+                          dkrm_half_steps, dkrm_resonant_map, equivalence_residual,
+                          khm_map, orbit, trajectory)
 
 K_PAIRS = [(1.3, 0.7), (1.0, 1.0), (3.9, 3.9), (4.0, 0.4)]
 
@@ -54,7 +52,8 @@ def test_composed_map_equals_half_steps_everywhere():
 
 def test_canonical_transform_roundtrip():
     pts = random_points(1000, seed=2)
-    back = canonical_transform_inverse(canonical_transform(pts))
+    sheared = canonical_transform(pts)
+    back = PhasePoint(sheared.q, sheared.p - sheared.q)   # the inverse shear
     assert np.max(np.abs(back.q - pts.q)) < 1e-12
     assert np.max(np.abs(back.p - pts.p)) < 1e-12
 
@@ -77,6 +76,22 @@ def test_equivalence_residual_detects_wrong_map():
 
 
 # ── Jacobians ──────────────────────────────────────────────────────────────
+
+def khm_jacobian(pt, k1, k2):
+    """d(q', p')/d(q, p) for the kicked Harper map (unit determinant)."""
+    cq = k1 * np.cos(pt.q)
+    cp = k2 * np.cos(pt.p + k1 * np.sin(pt.q))
+    return np.array([[1.0 - cp * cq, -cp],
+                     [cq, 1.0]])
+
+
+def dkrm_jacobian(pt, k1, k2):
+    """d(q', p')/d(q, p) for the composed double-kick map (unit determinant)."""
+    cq = k1 * np.cos(pt.q)
+    cu = np.cos(pt.q + pt.p + k1 * np.sin(pt.q))
+    return np.array([[1.0 - k2 * cu * (1.0 + cq), -k2 * cu],
+                     [cq + k2 * cu * (1.0 + cq), 1.0 + k2 * cu]])
+
 
 def fd_jacobian(f, pt, h=1e-6):
     out = np.empty((2, 2))
@@ -130,6 +145,29 @@ def test_trajectory_shape_and_start():
         trajectory("standard", start, 10, 1.0, 1.0)
     with pytest.raises(ValueError):
         trajectory("khm", start, 0, 1.0, 1.0)
+
+
+def numpy_scalar_rows(map_kind, pt0, n, k1, k2):
+    """The trajectory CSV rows from the maps stepped on numpy scalars with np.sin
+    and np.mod: the oracle of the float orbit."""
+    step = {"khm": khm_map, "dkrm": dkrm_resonant_map}[map_kind]
+    out = [PhasePoint(np.mod(pt0.q, 2 * np.pi), pt0.p)]
+    pt = pt0
+    for _ in range(n):
+        pt = step(pt, k1, k2)
+        out.append(PhasePoint(np.mod(pt.q, 2 * np.pi), pt.p))
+    return ["%d,%.17g,%.17g\n" % (i, pt.q, pt.p) for i, pt in enumerate(out)]
+
+
+@pytest.mark.parametrize("map_kind", ["khm", "dkrm"])
+@pytest.mark.parametrize("q0,p0,k1,k2", [(1.0, 2.0, 1.3, 0.7), (0.3, 5.9, 3.9, 3.9),
+                                         (6.1, 0.2, 4.0, 0.4), (2.5, 4.4, 0.7, 1.3)])
+def test_float_orbit_rows_equal_the_numpy_scalar_rows(map_kind, q0, p0, k1, k2):
+    rows = ["%d,%.17g,%.17g\n" % (i, q, p)
+            for i, (q, p) in enumerate(orbit(map_kind, q0, p0, 2000, k1, k2))]
+    assert rows == numpy_scalar_rows(map_kind, PhasePoint(q0, p0), 2000, k1, k2)
+    traj = trajectory(map_kind, PhasePoint(q0, p0), 2000, k1, k2)
+    assert [(pt.q, pt.p) for pt in traj] == list(orbit(map_kind, q0, p0, 2000, k1, k2))
 
 
 def test_zero_kicks_reduce_both_maps_to_the_identity():

@@ -276,18 +276,51 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-2:] == [str([0] * 5), "[]"]
 
 
-def test_classical_sweep_memory_does_not_depend_on_n_points(tmp_path):
-    # a fresh interpreter runs the command as its only child, so RUSAGE_CHILDREN
-    # reads that child's peak; a whole-array sweep of 2e6 points peaks near 173 MB
-    cfg = write_config(tmp_path, "c.json", {
-        "command": "classical", "output_prefix": str(tmp_path / "cl"), "n_points": 2000000,
-        "model": {"kind": "khm", "k1": 1.3, "k2": 0.7}, "n_steps": 10})
+def classical_peak_mb(tmp_path, n_points, n_steps):
+    """Peak RSS in MB of a `classical` run that is the only child of a fresh interpreter,
+    so RUSAGE_CHILDREN reads that child's peak alone."""
+    cfg = write_config(tmp_path, f"c{n_points}_{n_steps}.json", {
+        "command": "classical", "output_prefix": str(tmp_path / "cl"), "n_points": n_points,
+        "model": {"kind": "khm", "k1": 1.3, "k2": 0.7}, "n_steps": n_steps})
     code = ("import resource, subprocess, sys\n"
             f"subprocess.run([sys.executable, '-m', 'kickedharper.cli', {cfg!r}], check=True)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) / 1024 < 80   # ru_maxrss is in KB on Linux
+    return int(proc.stdout.split()[-1]) / 1024   # ru_maxrss is in KB on Linux
+
+
+def test_classical_sweep_memory_does_not_depend_on_n_points(tmp_path):
+    # a whole-array sweep of 2e6 points peaks near 173 MB
+    assert classical_peak_mb(tmp_path, 2000000, 10) < 80
+
+
+def test_classical_trajectory_memory_does_not_depend_on_n_steps(tmp_path):
+    # the orbit is streamed to the CSV; a list of its 200,001 points as numpy
+    # scalars peaks about 32 MB higher
+    short = classical_peak_mb(tmp_path, 1000, 10)
+    assert classical_peak_mb(tmp_path, 1000, 200000) < short + 1
+
+
+def test_evolve_fractal_and_check_symmetries_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique and np.median import numpy.ma when first called, which costs a
+    # fresh process about 1 MB and 10 ms; the commands count and take medians without them
+    model = {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0}
+    cfgs = [
+        {"command": "evolve", "output_prefix": str(tmp_path / "ev"),
+         "model": dict(model, hbar="2pi*1/3"), "n_steps": 200},
+        {"command": "fractal", "output_prefix": str(tmp_path / "fr"),
+         "model": dict(model, hbar="2pi*2/7"), "theta_count": 16},
+        {"command": "check-symmetries", "output_prefix": str(tmp_path / "sym"),
+         "model": model, "s_max": 5, "theta_count": 2, "n_rationals": 3},
+    ]
+    configs = [write_config(tmp_path, f"c{i}.json", c) for i, c in enumerate(cfgs)]
+    code = ("import sys, kickedharper.cli\n"
+            f"print([kickedharper.cli.main([c]) for c in {configs!r}])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [str([0] * 3), "False"]
 
 
 def test_importing_the_cli_leaves_numpy_fft_unloaded():

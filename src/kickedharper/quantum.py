@@ -209,7 +209,7 @@ def _kernel_tables(model: ModelSpec, l_min: int, n: int) -> tuple:
 
 def _apply_period(steps, src: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
     """Apply (kick table, diagonal tables) steps along the last axis of a state or stack
-    into dst (new when None) and return it; src stays intact for a retried step."""
+    into dst (new when None; may be src) and return it; another dst keeps src for a retry."""
     dst = np.empty(src.shape, dtype=np.complex128) if dst is None else dst
     ufuncs = np.fft._pocketfft_umath   # what np.fft.ifft/fft call, at the same scales
     for kick, tables in steps:

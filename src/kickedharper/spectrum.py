@@ -87,11 +87,16 @@ def _bloch_stack(steps: list, owner: np.ndarray, phis: np.ndarray, period: int) 
         kick = np.exp(-1j * x[owner, None, None] * np.cos((TWO_PI * sites + angle) / period))
         kernel.append((kick, (table[owner, None],)))
         angle = angle - arg[owner, None, None]
-    u = _apply_period(kernel, np.broadcast_to(  # rows: basis images
-        np.eye(period, dtype=np.complex128), (phis.size, period, period)))
-    u = u.swapaxes(1, 2) * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)
+    # rows: basis images; the first kick's, fft(ifft(e_l) kick), are fft(kick)/P shifted by l
+    (kick, (table,)), *rest = kernel
+    u = np.fft.fft(kick, norm="forward")[:, 0, (sites - sites[:, None]) % period]
+    u *= table
+    u = _apply_period(rest, u, u).swapaxes(1, 2)
+    u = u * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)
     u *= np.exp(1j * phis[:, None, None] * sites / period)
-    err = np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(period)), axis=(1, 2))
+    err = u.conj().swapaxes(1, 2) @ u   # |U^H U - I|, in the product's buffer
+    err[:, sites, sites] -= 1.0
+    err = np.max(np.abs(err, out=err.real), axis=(1, 2))
     if np.any(err > UNITARITY_TOL):
         raise NumericalError(f"Bloch block unitarity defect {np.max(err):.3e}")
     return u
@@ -195,18 +200,22 @@ def _bloch_spectra(models: list, theta_count: int, workers: int = 1) -> list:
     """Each model's (T, lattice_period) sorted quasienergies on theta_grid(T).
 
     At fold f the half blocks sit at theta_grid(N), N = f*T, and row j joins the blocks
-    k = j + i*T, i < f.  Parity l -> -l maps the block at angle k onto the one at N - k,
-    so only k = 0..N//2 is solved.  The blocks of all models with one half period (and
+    k = j + i*T, i < f.  Parity l -> -l maps the block at angle k onto the one at N - k.
+    With equal kicks, fold 2 and an odd half period, time reversal maps it onto the one at
+    k + T too (README).  So the spectra repeat with span S = T there and S = N elsewhere,
+    and only k = 0..S//2 is solved.  The blocks of all models with one half period (and
     step count) share stacks of <= STACK_ENTRIES entries; the pool maps over the stacks."""
     steps = [_period_steps(m) for m in models]
     shapes = [_period_and_fold(m, s) for m, s in zip(models, steps)]
+    spans = [theta_count * (1 if fold == 2 and full // 2 % 2 and len({x for x, _ in s}) == 1
+                            else fold) for s, (full, fold) in zip(steps, shapes)]
     groups, stacks = {}, []   # (half period, step count): models; (steps, owner, phis, P)
     for i, (full, fold) in enumerate(shapes):
         groups.setdefault((full // fold, len(steps[i])), []).append(i)
     for (period, _), members in groups.items():
-        grids = [theta_grid(shapes[i][1] * theta_count) for i in members]
-        owner = np.repeat(np.arange(len(members)), [g.size // 2 + 1 for g in grids])
-        phis = np.concatenate([g[:g.size // 2 + 1] for g in grids])
+        grids = [theta_grid(shapes[i][1] * theta_count)[:spans[i] // 2 + 1] for i in members]
+        owner = np.repeat(np.arange(len(members)), [g.size for g in grids])
+        phis = np.concatenate(grids)
         chunk = max(1, STACK_ENTRIES // period ** 2)
         for c in range(0, owner.size, chunk):   # the members part[0]..part[-1]
             part = owner[c:c + chunk]
@@ -221,9 +230,9 @@ def _bloch_spectra(models: list, theta_count: int, workers: int = 1) -> list:
         solved = map(_solve_stack, stacks)
     rows, out = itertools.chain.from_iterable(solved), [None] * len(models)
     for i in itertools.chain.from_iterable(groups.values()):   # the order of the rows
-        (full, fold), n = shapes[i], shapes[i][1] * theta_count
-        k = np.arange(theta_count)[:, None] + theta_count * np.arange(fold)
-        eps = np.array(list(itertools.islice(rows, n // 2 + 1)))[np.minimum(k, n - k)]
+        (full, fold), span = shapes[i], spans[i]
+        k = (np.arange(theta_count)[:, None] + theta_count * np.arange(fold)) % span
+        eps = np.array(list(itertools.islice(rows, span // 2 + 1)))[np.minimum(k, span - k)]
         out[i] = np.sort(eps.reshape(theta_count, full), axis=1)
     return out
 

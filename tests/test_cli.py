@@ -479,10 +479,11 @@ def test_unwritable_output_prefix_exits_one(tmp_path):
 # ── numerical and resource guards ──────────────────────────────────────────
 
 def test_a_bloch_unitarity_defect_raises_and_exits_four(tmp_path, monkeypatch, capsys):
-    """A period kernel that scales its output by 1.001 leaves each Bloch block about
-    2e-3 off unitary, so every spectrum path raises and the CLI exits 4."""
-    kernel = spectrum._apply_period
-    monkeypatch.setattr(spectrum, "_apply_period", lambda *a: 1.001 * kernel(*a))
+    """A diagonal table scaled by 1.001 leaves each Bloch block about 2e-3 off
+    unitary, so every spectrum path raises and the CLI exits 4.  Every step of every
+    block reads its table, while a one-kick block takes no step of the period kernel."""
+    table = spectrum._diagonal_table
+    monkeypatch.setattr(spectrum, "_diagonal_table", lambda *a: 1.001 * table(*a))
     model = ModelSpec(KHM, 1.0, 1.0, parse_effective_planck("2pi*13/34"))
     with pytest.raises(NumericalError, match="Bloch block unitarity defect"):
         build_bloch_matrix(model, 0.3)

@@ -517,11 +517,21 @@ def mirror_sweep_models(s_max=9, ratio_pairs=((1.0, 0.5), (2.3, 1.1))):
                 yield model_from_ratios(kind, *ratios, r.num, r.den, resonance)
 
 
+def reversal_partner(model):
+    """Equal kicks, fold 2 and an odd half period: time reversal pairs the half
+    blocks k and k + T (README, "Index rule")."""
+    return (model.kind != KHM and model.k1 == model.k2 and fold_of(model) == 2
+            and lattice_period(model) // 2 % 2 == 1)
+
+
 def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
     """_bloch_spectra(model, T) stacks exactly the half-block angles
-    theta_grid(fold*T)[:fold*T//2 + 1] and matches one block per angle of
-    theta_grid(T), solved on its own.  The sweep holds small fold-2 blocks and
-    odd T; at fold 2, row j joins the angles j and j + T, read as T - j."""
+    theta_grid(N)[:S//2 + 1], N = fold*T, with S = T for time-reversal partners and
+    S = N otherwise, and matches one block per angle of theta_grid(T), solved on its
+    own.  The sweep holds small fold-2 blocks and odd T; at fold 2, row j joins the
+    angles j and j + T, read as T - j, or as j mod T for a time-reversal partner.
+    Equal kicks at even half periods ((3, 4)) and unequal kicks at odd ones are the
+    models the time-reversal rule must not touch."""
     stacked = []
     stack = spectrum._bloch_stack
 
@@ -531,24 +541,32 @@ def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
 
     monkeypatch.setattr(spectrum, "_bloch_stack", spy)
     fib = parse_effective_planck("2pi*89/233")
+    equal = [(1.0, 1.0), (2.3, 2.3)]
     cases = [(model, count) for model in mirror_sweep_models() for count in (1, 2, 3, 4, 8)]
     cases += [(model, count) for model in mirror_sweep_models(6, [(1.0, 0.5)]) for count in (5, 7)]
+    cases += [(model, count) for model in mirror_sweep_models(5, equal) for count in (3, 4)]
     cases += [(ModelSpec(KHM, 1.0, 1.0, fib), 16), (ModelSpec(DKRM_RESONANT, 1.0, 1.0, fib), 8)]
-    refs, folds, small_folded = {}, set(), 0  # theta_grid(8) holds those of 1, 2, 4 bitwise
+    refs, folds, kinds = {}, set(), set()  # theta_grid(8) holds those of 1, 2, 4 bitwise
     for model, count in cases:
         fold = fold_of(model)
         folds.add((fold, count % 2))
-        small_folded += fold == 2 and lattice_period(model) <= 4
+        if fold == 2:   # (partner, equal kicks, odd half period, T odd, small block)
+            kinds.add((reversal_partner(model), model.k1 == model.k2,
+                       lattice_period(model) // 2 % 2, count % 2, lattice_period(model) <= 6))
         stacked.clear()
         eps = spectrum._bloch_spectra([model], count)[0]
         n = fold * count
-        assert np.array_equal(np.concatenate(stacked), theta_grid(n)[:n // 2 + 1]), model
+        span = count if reversal_partner(model) else n
+        assert np.array_equal(np.concatenate(stacked), theta_grid(n)[:span // 2 + 1]), model
         assert eps.shape == (count, lattice_period(model))
         for theta, row in zip(theta_grid(count), eps):
             if (model, theta) not in refs:
                 refs[model, theta] = quasienergies(build_bloch_matrix(model, theta))
             assert spectrum_set_distance(row, refs[model, theta]) <= 1e-12, (model, theta)
-    assert small_folded > 0 and folds == {(1, 0), (1, 1), (2, 0), (2, 1)}
+    assert folds == {(1, 0), (1, 1), (2, 0), (2, 1)}
+    assert {(True, True, 1, t, True) for t in (0, 1)} <= kinds  # partners, odd and even T
+    assert {(False, True, 0, t, True) for t in (0, 1)} <= kinds  # equal kicks, even P
+    assert {(False, False, 1, t, True) for t in (0, 1)} <= kinds  # unequal kicks, odd P
 
 
 def test_one_stack_of_many_models_equals_their_own_stacks(monkeypatch, no_fallback):
@@ -648,12 +666,19 @@ def test_butterfly_scan_rows_are_sorted_and_complete():
 
 
 def test_butterfly_scan_is_worker_count_invariant():
-    a = butterfly_scan(DKRM_RESONANT, 0.9, 0.4, 2, theta_count=3)
-    b = butterfly_scan(DKRM_RESONANT, 0.9, 0.4, 2, theta_count=3, workers=2)
-    assert a.hbars == b.hbars and np.array_equal(a.thetas, b.thetas)
-    assert len(a.energies) == len(b.energies)
-    for ea, eb in zip(a.energies, b.energies):
-        assert np.array_equal(ea, eb)
+    """The equal-kick scan solves a time-reversal partner (1/3, on 3 sites), so the
+    pool children also run the orbit rule; the other scan runs parity alone."""
+    for ratio1, ratio2, s_max in [(0.9, 0.4, 2), (0.7, 0.7, 3)]:
+        models = [model_from_ratios(DKRM_RESONANT, ratio1, ratio2, r.num, r.den)
+                  for r in scan_rationals(DKRM_RESONANT, s_max)]
+        assert any(reversal_partner(m) and lattice_period(m) > 2 for m in models) == (
+            ratio1 == ratio2)
+        a = butterfly_scan(DKRM_RESONANT, ratio1, ratio2, s_max, theta_count=3)
+        b = butterfly_scan(DKRM_RESONANT, ratio1, ratio2, s_max, theta_count=3, workers=2)
+        assert a.hbars == b.hbars and np.array_equal(a.thetas, b.thetas)
+        assert len(a.energies) == len(b.energies)
+        for ea, eb in zip(a.energies, b.energies):
+            assert np.array_equal(ea, eb)
 
 
 def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch):

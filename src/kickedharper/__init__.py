@@ -1,9 +1,8 @@
 """Kicked Harper and double-kicked rotor simulations on the momentum lattice."""
 
 from .analysis import (BALLISTIC, DIFFUSIVE, LOCALIZED, SUBDIFFUSIVE,
-                       TRANSPORT_LABELS, BoxCountResult, PowerLawFit,
-                       box_counting_dimension, classify_transport,
-                       fit_power_law, hausdorff_from_alpha,
+                       BoxCountResult, PowerLawFit, box_counting_dimension,
+                       classify_transport, fit_power_law, hausdorff_from_alpha,
                        spectrum_set_distance)
 from .classical import (PhasePoint, canonical_transform, circular_distance,
                         dkrm_half_steps, dkrm_resonant_map, equivalence_residual,

@@ -13,7 +13,6 @@ LOCALIZED = "localized"
 SUBDIFFUSIVE = "subdiffusive"
 DIFFUSIVE = "diffusive"
 BALLISTIC = "ballistic"
-TRANSPORT_LABELS = (LOCALIZED, SUBDIFFUSIVE, DIFFUSIVE, BALLISTIC)
 
 DEFAULT_BOX_SCALES = tuple(2 ** k for k in range(4, 13))
 MIN_BOX_POINTS = 100

@@ -11,7 +11,6 @@ bytes.  Exit codes: 0 success, 1 failed check or I/O trouble, 2 bad config,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import os
@@ -270,9 +269,8 @@ def run_classical(model: ModelSpec, knobs: dict, prefix: str) -> int:
     map_kind = "khm" if model.kind == KHM else "dkrm"
     n_points, n_steps, seed = knobs["n_points"], knobs["n_steps"], knobs["seed"]
     # the stream holds every q, then every p, then the start: q chunks come from rng,
-    # p chunks and then the start from a copy advanced past the q draws
-    rng = np.random.default_rng(seed)
-    p_rng = copy.deepcopy(rng)
+    # p chunks and then the start from a second generator advanced past the q draws
+    rng, p_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     p_rng.bit_generator.advance(n_points)
     worst = np.full(3, -np.inf)   # running maxima: residual, |dq| and |dp| of the half steps
     for lo in range(0, n_points, SWEEP_CHUNK):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,13 +37,6 @@ class Rational:
         if g > 1 or den != self.den:   # already reduced terms are kept as given
             object.__setattr__(self, "num", num // g)
             object.__setattr__(self, "den", den // g)
-
-    @property
-    def value(self) -> float:
-        return self.num / self.den
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -238,9 +230,6 @@ class Wavepacket:
 
     def sites(self) -> np.ndarray:
         return np.arange(self.l_min, self.l_max + 1, dtype=np.int64)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
     def with_amps(self, amps: np.ndarray) -> "Wavepacket":
         return Wavepacket(self.l_min, self.l_max, amps, self.hbar_eff)

@@ -136,8 +136,8 @@ class HarperPhase:
         return np.exp(-1j * self.strength * np.cos(self.planck.value * l.astype(np.float64)))
 
 
-def floquet_factors(model: ModelSpec) -> tuple:
-    """One period of the model as factors in application order (first acts first).
+def _period_steps(model: ModelSpec) -> tuple:
+    """One period as (kick strength, diagonal factors after it) per kick, in order.
 
     Both double-kick kinds close with the drift of resonance (nu, mu); its phase
     e^{-i pi (2 nu/mu) l^2} only depends on 2 nu/mu mod 2, as e^{-i pi 2 l^2} = 1.
@@ -146,8 +146,7 @@ def floquet_factors(model: ModelSpec) -> tuple:
     rp = model.hbar_eff.rational_part
     cyc = Fraction(rp.num, rp.den) if rp is not None else None
     if model.kind == KHM:
-        return (KickFactor(model.k1 / hb),
-                HarperPhase(model.k2 / hb, model.hbar_eff))
+        return ((model.k1 / hb, (HarperPhase(model.k2 / hb, model.hbar_eff),)),)
     nu, mu = model.resonance_order
     res = Fraction(2 * nu, mu) % 2
     res_coeff = TWO_PI * res.numerator / res.denominator
@@ -155,8 +154,12 @@ def floquet_factors(model: ModelSpec) -> tuple:
         closing = (QuadraticPhase(res_coeff - hb, res - cyc),)
     else:
         closing = (QuadraticPhase(res_coeff, res), QuadraticPhase(-hb, None))
-    return (KickFactor(model.k1 / hb), QuadraticPhase(hb, cyc),
-            KickFactor(model.k2 / hb)) + closing
+    return ((model.k1 / hb, (QuadraticPhase(hb, cyc),)), (model.k2 / hb, closing))
+
+
+def floquet_factors(model: ModelSpec) -> tuple:
+    """One period of the model as factors in application order (first acts first)."""
+    return tuple(f for x, fs in _period_steps(model) for f in (KickFactor(x), *fs))
 
 
 # ── applying factors on the lattice ────────────────────────────────────────
@@ -191,13 +194,6 @@ def apply_quadratic_phase(psi: Wavepacket, tau: float) -> Wavepacket:
     """Multiply amplitudes by e^{-i tau l^2 / 2} sitewise."""
     table = _diagonal_table((QuadraticPhase(tau),), psi.l_min, psi.n_sites)
     return psi.with_amps(psi.amps * table)
-
-
-def _period_steps(model: ModelSpec) -> tuple:
-    """One period as (kick strength, diagonal factors after it) per kick, in order."""
-    fs = floquet_factors(model)
-    kicks = [i for i, f in enumerate(fs) if isinstance(f, KickFactor)] + [len(fs)]
-    return tuple((fs[i].strength, fs[i + 1:j]) for i, j in zip(kicks, kicks[1:]))
 
 
 @lru_cache(maxsize=4)
@@ -256,7 +252,6 @@ class DiffusionSeries:
     steps: np.ndarray
     variance: np.ndarray
     leak: np.ndarray
-    model: ModelSpec
     final_norm: float = 1.0
     growth: tuple = ()  # (step, lattice size after it), one per doubling
 
@@ -320,4 +315,4 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
     final_norm = float(np.sqrt(np.sum(prob)))
     if not abs(final_norm - 1.0) <= 1e-8:
         raise NumericalError(f"norm drifted to {final_norm:.12f} after {n_steps} steps")
-    return DiffusionSeries(steps, variance, leak, model, final_norm, tuple(growth))
+    return DiffusionSeries(steps, variance, leak, final_norm, tuple(growth))

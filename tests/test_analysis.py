@@ -12,8 +12,6 @@ from kickedharper import (
     LOCALIZED,
     SUBDIFFUSIVE,
     DiffusionSeries,
-    EffPlanck,
-    ModelSpec,
     aggregated_energies,
     box_counting_dimension,
     classify_transport,
@@ -23,13 +21,10 @@ from kickedharper import (
     spectrum_set_distance,
 )
 
-MODEL = ModelSpec(DKRM_RESONANT, 1.0, 1.0, EffPlanck(1.0))
-
-
 def series_from(steps, variance):
     steps = np.asarray(steps, dtype=np.int64)
     variance = np.asarray(variance, dtype=np.float64)
-    return DiffusionSeries(steps, variance, np.zeros_like(variance), MODEL)
+    return DiffusionSeries(steps, variance, np.zeros_like(variance))
 
 
 def power_series(alpha, prefactor=1.0, t_max=10000):
@@ -39,6 +34,18 @@ def power_series(alpha, prefactor=1.0, t_max=10000):
 
 
 # ── power-law fitting ──────────────────────────────────────────────────────
+
+def test_diffusion_series_rejects_inconsistent_samples():
+    ok = series_from([0, 1, 2], [0.0, 1.0, 2.0])
+    assert ok.final_norm == 1.0 and ok.growth == ()
+    with pytest.raises(ValueError, match="equal length"):
+        DiffusionSeries([0, 1, 2], [0.0, 1.0], [0.0, 0.0, 0.0])
+    for steps in ([0, 2, 1], [0, 1, 1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            series_from(steps, [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match=">= 0"):
+        series_from([0, 1, 2], [0.0, -1.0, 2.0])
+
 
 def test_fit_is_exact_on_exact_power_laws():
     fit = fit_power_law(power_series(2.0, 3.0), (1.0, 10000.0))
@@ -160,6 +167,7 @@ def test_spectrum_distance_basics():
     assert spectrum_set_distance(np.array([0.0]), np.array([np.pi])) == \
         pytest.approx(np.pi)
     assert spectrum_set_distance(a, a + 2 * np.pi) < 1e-12
+    assert spectrum_set_distance([], []) == 0.0
 
 
 def test_spectrum_distance_is_a_pseudometric():

@@ -14,9 +14,9 @@ import pytest
 
 import kickedharper
 from kickedharper import cli, quantum, spectrum
-from kickedharper import (DKRM_RESONANT, KHM, TRANSPORT_LABELS, ModelSpec, NumericalError,
-                          build_bloch_matrix, butterfly_scan, model_spectrum,
-                          parse_effective_planck)
+from kickedharper import (BALLISTIC, DIFFUSIVE, DKRM_RESONANT, KHM, LOCALIZED, SUBDIFFUSIVE,
+                          ModelSpec, NumericalError, build_bloch_matrix, butterfly_scan,
+                          model_spectrum, parse_effective_planck)
 from kickedharper.classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
                                     equivalence_residual, trajectory)
 from kickedharper.cli import (DIFFUSION_HEADER, SPECTRUM_HEADER, SPECTRUM_PREFIX,
@@ -133,7 +133,7 @@ def test_evolve_writes_series_and_summary(tmp_path):
     assert len(lines) == 1 + 301
     summary = json.loads((tmp_path / "ev_summary.json").read_text())
     assert set(summary) == {"alpha", "classification", "window", "final_norm"}
-    assert summary["classification"] in TRANSPORT_LABELS
+    assert summary["classification"] in (LOCALIZED, SUBDIFFUSIVE, DIFFUSIVE, BALLISTIC)
     assert isinstance(summary["alpha"], float)
     assert summary["window"] == [10.0, 300.0]
     assert abs(summary["final_norm"] - 1.0) < 1e-8

@@ -12,6 +12,10 @@ from kickedharper import (EffPlanck, LabParams, ModelSpec, Rational,
 from kickedharper.lattice import DKRM_GENERAL, DKRM_RESONANT, KHM, TWO_PI
 
 
+def fraction(r):
+    return Fraction(r.num, r.den)
+
+
 # ── rationals ──────────────────────────────────────────────────────────────
 
 def test_rational_reduces_and_normalizes_sign():
@@ -20,8 +24,7 @@ def test_rational_reduces_and_normalizes_sign():
     assert (Rational(-1, -2).num, Rational(-1, -2).den) == (1, 2)  # only the signs move
     assert str(Rational(10, 15)) == "2/3"
     assert Rational(8, 12) == Rational(2, 3)
-    assert Rational(5, 7).value == pytest.approx(5 / 7, abs=0)
-    assert Rational(5, 7).as_fraction() == Fraction(5, 7)
+    assert fraction(Rational(10, 14)) == Fraction(5, 7)
 
 
 def test_rational_rejects_undefined_and_negative():
@@ -37,20 +40,22 @@ def test_rational_rejects_undefined_and_negative():
 def test_farey_sequence_is_complete_sorted_and_reduced():
     for s_max in (1, 2, 5, 11):
         seq = farey_sequence(s_max)
-        vals = [r.as_fraction() for r in seq]
+        vals = [fraction(r) for r in seq]
         assert vals == sorted(vals)
         assert len(set(vals)) == len(vals)
         assert all(math.gcd(r.num, r.den) == 1 and r.den <= s_max for r in seq)
         expected = {Fraction(n, d)
                     for d in range(1, s_max + 1) for n in range(1, d + 1)}
         assert set(vals) == expected
+    with pytest.raises(ValueError, match="s_max"):
+        farey_sequence(0)
 
 
 def test_farey_sequence_matches_the_filtered_and_sorted_list():
     for s_max in range(1, 80):
         oracle = sorted((Rational(n, d) for d in range(1, s_max + 1)
                          for n in range(1, d + 1) if math.gcd(n, d) == 1),
-                        key=Rational.as_fraction)
+                        key=fraction)
         assert farey_sequence(s_max) == oracle, s_max
 
 
@@ -134,6 +139,12 @@ def test_lab_params_rescale_to_model():
     for resonance in ((1.0, 1.0), (True, 1)):
         with pytest.raises(ValueError):
             LabParams(3.0, 1.5, period, eta, planck, resonance)
+    for bad_planck in (0.0, -planck):
+        with pytest.raises(ValueError, match="planck must be positive"):
+            LabParams(3.0, 1.5, period, eta, bad_planck, (1, 1))
+    for k1, k2 in ((-3.0, 1.5), (3.0, -1.5)):
+        with pytest.raises(ValueError, match="kick strengths"):
+            LabParams(k1, k2, period, eta, planck, (1, 1))
 
 
 def test_lab_params_general_resonance_maps_to_general_model():
@@ -154,9 +165,13 @@ def test_delta_wavepacket_layout():
     assert psi.l_min == 5 - 4 and psi.l_max == 5 + 3
     sites = psi.sites()
     assert sites[np.argmax(np.abs(psi.amps))] == 5
-    assert psi.norm() == pytest.approx(1.0, abs=0)
+    assert np.sqrt(np.sum(np.abs(psi.amps) ** 2)) == pytest.approx(1.0, abs=0)
     with pytest.raises(ValueError):
         Wavepacket.delta(l0=0, n_sites=7, hbar_eff=hb)
+    with pytest.raises(ValueError, match="l_min < l_max"):
+        Wavepacket(3, 3, np.ones(1), hb)
+    with pytest.raises(ValueError, match="does not match"):
+        Wavepacket(0, 7, np.ones(7), hb)
 
 
 def test_doubled_pads_symmetrically_and_preserves_content():
@@ -169,7 +184,7 @@ def test_doubled_pads_symmetrically_and_preserves_content():
     assert big.l_min == -16 and big.l_max == 15
     assert np.array_equal(big.amps[8:24], psi.amps)
     assert np.all(big.amps[:8] == 0) and np.all(big.amps[24:] == 0)
-    assert big.norm() == pytest.approx(psi.norm(), rel=1e-15)
+    assert np.linalg.norm(big.amps) == pytest.approx(np.linalg.norm(psi.amps), rel=1e-15)
 
 
 def test_momentum_variance_scales_with_hbar():

@@ -34,6 +34,7 @@ from kickedharper import (
     parse_effective_planck,
 )
 from kickedharper.quantum import trigger_margin
+from test_spectrum import period_sweep_models
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,7 +118,7 @@ def test_apply_kick_preserves_norm_and_inverts():
     amps /= np.linalg.norm(amps)
     psi = Wavepacket(-128, 127, amps, EffPlanck(1.0))
     kicked = apply_kick(psi, 2.5)
-    assert abs(kicked.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(kicked.amps) - 1.0) < 1e-12
     back = apply_kick(kicked, -2.5)
     assert np.max(np.abs(back.amps - amps)) < 1e-12
 
@@ -195,6 +196,38 @@ def test_general_resonance_factors_rational_and_irrational():
     assert gs[3].coeff + gs[4].coeff == pytest.approx(TWO_PI - 1.3)
 
 
+def flat_period_factors(model):
+    """Oracle: one period as one flat factor tuple, built as floquet_factors once was."""
+    hb = model.hbar_eff.value
+    rp = model.hbar_eff.rational_part
+    cyc = Fraction(rp.num, rp.den) if rp is not None else None
+    if model.kind == KHM:
+        return (KickFactor(model.k1 / hb),
+                HarperPhase(model.k2 / hb, model.hbar_eff))
+    nu, mu = model.resonance_order
+    res = Fraction(2 * nu, mu) % 2
+    res_coeff = TWO_PI * res.numerator / res.denominator
+    if cyc is not None:
+        closing = (QuadraticPhase(res_coeff - hb, res - cyc),)
+    else:
+        closing = (QuadraticPhase(res_coeff, res), QuadraticPhase(-hb, None))
+    return (KickFactor(model.k1 / hb), QuadraticPhase(hb, cyc),
+            KickFactor(model.k2 / hb)) + closing
+
+
+def test_period_steps_split_the_flat_oracle_at_its_kicks():
+    untagged = [ModelSpec(KHM, 1.3, 0.7, EffPlanck(1.3)),
+                ModelSpec(DKRM_RESONANT, 1.3, 0.7, EffPlanck(1.3)),
+                ModelSpec(DKRM_GENERAL, 1.3, 0.7, EffPlanck(1.3), resonance=(1, 2)),
+                ModelSpec(DKRM_GENERAL, 0.0, 0.0, EffPlanck(0.9), resonance=(2, 3))]
+    for model in [*period_sweep_models(), *untagged]:
+        flat = flat_period_factors(model)
+        assert floquet_factors(model) == flat, model
+        kicks = [i for i, f in enumerate(flat) if isinstance(f, KickFactor)] + [len(flat)]
+        split = tuple((flat[i].strength, flat[i + 1:j]) for i, j in zip(kicks, kicks[1:]))
+        assert quantum._period_steps(model) == split, model
+
+
 def test_general_principal_resonance_matches_resonant_model():
     hb = parse_effective_planck("2pi*2/7")
     res = ModelSpec(DKRM_RESONANT, 1.4, 0.9, hb)
@@ -247,7 +280,7 @@ def test_apply_floquet_is_unitary_on_interior_states():
     amps /= np.linalg.norm(amps)
     psi = Wavepacket(-128, 127, amps, hb)
     out = apply_floquet(model, psi)
-    assert abs(out.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
 
 
 def test_apply_floquet_matches_factorwise_application():

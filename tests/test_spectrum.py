@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,6 +179,8 @@ def test_theta_grid_is_uniform_and_closed_under_negation():
     negated = {round(x, 12) for x in np.mod(-th, TWO_PI)}
     assert negated == {round(x, 12) for x in th}
     assert list(theta_grid(1)) == [0.0]
+    with pytest.raises(ValueError, match="theta count"):
+        theta_grid(0)
 
 
 def eigvals_phases(u):
@@ -620,7 +623,8 @@ def test_scan_rationals_windows():
     dkrm = scan_rationals(DKRM_RESONANT, 3)
     assert len(dkrm) == 8
     assert (4, 3) in [(r.num, r.den) for r in dkrm]
-    assert [r.as_fraction() for r in dkrm] == sorted(r.as_fraction() for r in dkrm)
+    values = [Fraction(r.num, r.den) for r in dkrm]
+    assert values == sorted(values)
     assert len(scan_rationals(DKRM_RESONANT, 3, window_cycles=1)) == 4
     with pytest.raises(ValueError):
         scan_rationals(KHM, 3, window_cycles=0)
@@ -630,7 +634,8 @@ def test_scan_rationals_match_the_sorted_shifted_farey_copies():
     for s_max in range(1, 80):
         farey = farey_sequence(s_max)
         oracles = {shifts: sorted((Rational(r.num + shift * r.den, r.den) for r in farey
-                                   for shift in range(shifts)), key=Rational.as_fraction)
+                                   for shift in range(shifts)),
+                                  key=lambda r: Fraction(r.num, r.den))
                    for shifts in (1, 2, 3)}
         for kind, default in ((KHM, 1), (DKRM_RESONANT, 2)):
             for cycles in (None, 1, 2, 3):

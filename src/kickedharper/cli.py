@@ -51,6 +51,7 @@ def _is_real(v) -> bool:
 _TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _COUNT = (_is_int, "an integer >= 1")
+_INTERIOR_S_MAX = (lambda v: _is_int(v, 2), "an integer >= 2 (1 leaves no rational in (0, 1))")
 _SEED = (lambda v: _is_int(v, 0), "an integer >= 0")
 _FIT_WINDOW = (lambda v: isinstance(v, list) and len(v) == 2
                and all(map(_is_real, v)) and 0 < v[0] < v[1],
@@ -348,8 +349,8 @@ _COMMANDS = {
     "fractal": _Command({**_MODEL, "hbar": (_RATIONAL_HBAR, REQUIRED)}, {
         "theta_count": (_COUNT, 64), "scales": (_SCALES, DEFAULT_BOX_SCALES)},
         run_fractal),
-    "check-symmetries": _Command(_PRINCIPAL_MODEL, {
-        "s_max": (_COUNT, 20), "theta_count": (_COUNT, 16),
+    "check-symmetries": _Command(_MODEL, {
+        "s_max": (_INTERIOR_S_MAX, 20), "theta_count": (_COUNT, 16),
         "tolerance": (_TOLERANCE, 1e-8), "n_rationals": (_COUNT, 10)},
         run_check_symmetries),
 }

@@ -119,8 +119,8 @@ class ModelSpec:
     kind: one of MODEL_KINDS.  k1/k2 are the kick strengths (for the kicked
     Harper model k1 multiplies cos(q) and k2 multiplies cos(p)); resonance is
     the coprime (nu, mu) pair fixing the kick period to 4*pi*nu/mu in units
-    of 1/hbar, required for the general-resonance model (the principal
-    resonance fixes nu/mu = 1/1).
+    of 1/hbar.  The general-resonance model requires it; the other kinds sit
+    at the principal resonance, so it is stored as (1, 1) when not given.
     """
 
     kind: str
@@ -132,20 +132,15 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.resonance is not None:  # a tuple, so the model hashes
-            object.__setattr__(self, "resonance", _resonance_pair(self.resonance))
+        if self.resonance is None and self.kind == DKRM_GENERAL:
+            raise ValueError("general-resonance model requires (nu, mu)")
+        pair = (1, 1) if self.resonance is None else _resonance_pair(self.resonance)
+        object.__setattr__(self, "resonance", pair)   # a tuple, so the model hashes
+        if self.kind != DKRM_GENERAL and pair != (1, 1):
+            raise ValueError("resonance order is fixed to 1/1 for this kind")
         for k in (self.k1, self.k2):  # k / hbar_eff is the kick's phase amplitude
             if not (k >= 0 and math.isfinite(k / self.hbar_eff.value)):
                 raise ValueError("kick strengths must be >= 0 with k/hbar_eff finite")
-        if self.kind == DKRM_GENERAL:
-            if self.resonance is None:
-                raise ValueError("general-resonance model requires (nu, mu)")
-        elif self.resonance not in (None, (1, 1)):
-            raise ValueError("resonance order is fixed to 1/1 for this kind")
-
-    @property
-    def resonance_order(self) -> tuple[int, int]:
-        return self.resonance if self.resonance is not None else (1, 1)
 
 
 @dataclass(frozen=True)
@@ -190,10 +185,8 @@ class LabParams:
         return EffPlanck(self.delay * self.planck)
 
     def to_model_spec(self) -> ModelSpec:
-        if self.resonance == (1, 1):
-            return ModelSpec(DKRM_RESONANT, self.k1_eff, self.k2_eff, self.hbar_eff)
-        return ModelSpec(DKRM_GENERAL, self.k1_eff, self.k2_eff, self.hbar_eff,
-                         self.resonance)
+        kind = DKRM_RESONANT if self.resonance == (1, 1) else DKRM_GENERAL
+        return ModelSpec(kind, self.k1_eff, self.k2_eff, self.hbar_eff, self.resonance)
 
 
 # ── wavepackets on the momentum lattice ────────────────────────────────────

@@ -18,8 +18,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import LatticeOverflowError, NumericalError, ResourceLimitError
-from .lattice import (KHM, TWO_PI, EffPlanck, ModelSpec, Wavepacket, edge_mass,
-                      momentum_variance)
+from .lattice import KHM, TWO_PI, EffPlanck, ModelSpec, Wavepacket, edge_mass
 
 DEFAULT_LEAK_THRESHOLD = 1e-10
 DEFAULT_MAX_SITES = 2 ** 22
@@ -128,11 +127,9 @@ class HarperPhase:
     def values(self, l) -> np.ndarray:
         l = np.asarray(l, dtype=np.int64)
         rp = self.planck.rational_part
-        if rp is not None:
+        if rp is not None:   # the kick table on den sites, read at q = hbar * l
             idx = (rp.num % rp.den) * (l % rp.den) % rp.den
-            angles = TWO_PI * np.arange(rp.den) / rp.den
-            table = np.exp(-1j * self.strength * np.cos(angles))
-            return table[idx]
+            return _kick_table(self.strength, rp.den)[idx]
         return np.exp(-1j * self.strength * np.cos(self.planck.value * l.astype(np.float64)))
 
 
@@ -147,7 +144,7 @@ def _period_steps(model: ModelSpec) -> tuple:
     cyc = Fraction(rp.num, rp.den) if rp is not None else None
     if model.kind == KHM:
         return ((model.k1 / hb, (HarperPhase(model.k2 / hb, model.hbar_eff),)),)
-    nu, mu = model.resonance_order
+    nu, mu = model.resonance
     res = Fraction(2 * nu, mu) % 2
     res_coeff = TWO_PI * res.numerator / res.denominator
     if cyc is not None:
@@ -290,13 +287,21 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
     l_min, src, dst = psi0.l_min, psi0.amps.copy(), None  # the kernel allocates dst
     tables, margin, weights, prob = lattice(l_min, src.size)
     hbar2 = psi0.hbar_eff.value ** 2
-    steps, variance, growth = [0], [momentum_variance(psi0, l0)], []
-    leak = [edge_mass(psi0, margin)]
+    steps, variance, leak, growth = [], [], [], []
+
+    def measure(amps):  # |amps|^2 into prob (the bits of abs(amps)**2); its edge mass
+        np.multiply(np.abs(amps, out=prob), prob, out=prob)
+        return float(np.add.reduce(prob[:margin]) + np.add.reduce(prob[-margin:]))
+
+    def record(t, mass):  # step t, from prob as measure left it
+        steps.append(t)
+        variance.append(float(hbar2 * np.dot(weights, prob)))
+        leak.append(mass)
+    record(0, measure(src))
     for t in range(1, n_steps + 1):
         while True:  # src is intact until the step is accepted
             out = _apply_period(tables, src, dst)
-            np.multiply(np.abs(out, out=prob), prob, out=prob)   # the bits of abs(out)**2
-            mass = float(np.add.reduce(prob[:margin]) + np.add.reduce(prob[-margin:]))
+            mass = measure(out)
             if mass <= DEFAULT_LEAK_THRESHOLD:
                 break
             if math.isnan(mass):
@@ -309,9 +314,7 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
             growth.append((t, src.size))
         src, dst = out, src
         if t % record_every == 0:
-            steps.append(t)
-            variance.append(float(hbar2 * np.dot(weights, prob)))
-            leak.append(mass)
+            record(t, mass)
     final_norm = float(np.sqrt(np.sum(prob)))
     if not abs(final_norm - 1.0) <= 1e-8:
         raise NumericalError(f"norm drifted to {final_norm:.12f} after {n_steps} steps")

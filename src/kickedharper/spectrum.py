@@ -48,7 +48,7 @@ def _period_and_fold(model: ModelSpec, steps: tuple) -> tuple:
     if model.hbar_eff.rational_part is None:
         raise ConfigError("spectral reduction needs hbar_eff tagged as 2*pi*num/den")
     diagonal = [f for _, fs in steps for f in fs]
-    period = math.lcm(model.resonance_order[1], *(f.period for f in diagonal))
+    period = math.lcm(model.resonance[1], *(f.period for f in diagonal))
     jumps = [f.jump(period // 2) for f in diagonal]
     return period, 1 if period % 2 or None in jumps or math.prod(jumps) != 1 else 2
 
@@ -252,14 +252,20 @@ def aggregated_energies(model: ModelSpec, theta_count: int) -> np.ndarray:
     return np.sort(_bloch_spectra([model], theta_count)[0], axis=None)
 
 
+def _hbar_symmetries(kind: str, resonance: tuple[int, int] = (1, 1)) -> tuple[int, bool]:
+    """(c, mirror): the spectrum at hbar_eff = 2*pi*num/den equals the one at num + c*den
+    and, if mirror, the one at c*den - num (README, "hbar mirror").  c is 1 for khm and 2 for
+    the double kicks; khm mirrors, and the double kicks do at resonance (1, 1) only."""
+    return (1, True) if kind == KHM else (2, resonance == (1, 1))
+
+
 def scan_rationals(kind: str, s_max: int, window_cycles: int | None = None) -> list:
     """Reduced fractions num/den with hbar_eff = 2*pi*num/den inside the scan window.
 
-    The window is (0, 2*pi*window_cycles]; it defaults to one cycle for the
-    kicked Harper model and two for the double-kicked models, matching the
-    periods of their butterflies.
+    The window is (0, 2*pi*window_cycles]; it defaults to one period 2*pi*c of the
+    kind's butterfly (_hbar_symmetries).
     """
-    cycles = window_cycles if window_cycles is not None else (1 if kind == KHM else 2)
+    cycles = window_cycles if window_cycles is not None else _hbar_symmetries(kind)[0]
     if cycles < 1:
         raise ValueError("window_cycles must be >= 1")
     farey = farey_sequence(s_max)   # (0, 1], so shift-major order ascends
@@ -282,10 +288,10 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
     rationals = scan_rationals(kind, s_max, window_cycles)
     models = [model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
               for r in rationals]
-    # hbar-mirror partners num/den, (span den - num)/den share a spectrum (README)
-    span = 1 if kind == KHM else 2 if models[0].resonance_order == (1, 1) else 0
-    index = {(r.num, r.den): i for i, r in enumerate(rationals)}
-    rep = [min(i, index.get((span * r.den - r.num, r.den), i)) for i, r in enumerate(rationals)]
+    # hbar-mirror partners num/den, (c den - num)/den share a spectrum (_hbar_symmetries)
+    c, mirror = _hbar_symmetries(kind, models[0].resonance)
+    index = {(r.num, r.den): i for i, r in enumerate(rationals)} if mirror else {}
+    rep = [min(i, index.get((c * r.den - r.num, r.den), i)) for i, r in enumerate(rationals)]
     solved = {i: models[i] for i in sorted(set(rep))}   # the lower rational of each pair
     energies = dict(zip(solved, _bloch_spectra(list(solved.values()), theta_count, workers)))
     return SpectrumSet([m.hbar_eff for m in models], theta_grid(theta_count),
@@ -311,19 +317,16 @@ class SymmetryReport:
 def check_symmetry_claims(kind: str, ratio1: float, ratio2: float, rationals,
                           theta_count: int = 16, tol: float = 1e-8,
                           resonance: tuple[int, int] | None = None) -> list:
-    """Verify the butterfly symmetries at the given rationals.
-
-    Kicked Harper: spectrum periodic in hbar_eff with period 2*pi and mirror
-    symmetric about pi.  Double-kicked models: period 4*pi, mirror symmetry
-    about 2*pi, and invariance under swapping the two kick strengths.
-    Claims whose partner falls outside hbar_eff > 0 are skipped.
-    """
-    span, about = (1, "pi") if kind == KHM else (2, "2*pi")
+    """Verify the butterfly symmetries at the given rationals: the hbar_eff period 2*pi*c, the
+    mirror about pi*c where it holds (_hbar_symmetries) and, for the double kicks, the swap of
+    the two kick strengths.  A claim whose partner falls outside hbar_eff > 0 is skipped."""
     claims = []   # (name, rational, base model, partner model)
     for r in rationals:
         base = model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
-        partners = [(f"period {2 * span}*pi", ratio1, ratio2, r.num + span * r.den),
-                    (f"mirror about {about}", ratio1, ratio2, span * r.den - r.num)]
+        c, mirror = _hbar_symmetries(kind, base.resonance)
+        partners = [(f"period {2 * c}*pi", ratio1, ratio2, r.num + c * r.den)]
+        partners += [("mirror about " + ("pi" if c == 1 else f"{c}*pi"), ratio1, ratio2,
+                      c * r.den - r.num)] if mirror else []
         partners += [] if kind == KHM else [("kick swap", ratio2, ratio1, r.num)]
         claims += [(name, r, base, model_from_ratios(kind, r1, r2, num, r.den, resonance))
                    for name, r1, r2, num in partners if num >= 1]

@@ -426,11 +426,16 @@ def test_config_validation_failures_exit_two(tmp_path):
          "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": f"2pi*1/{10**400}"}},
         {"command": "evolve", "output_prefix": str(new / "x"), "n_steps": 100,  # k1/hbar inf
          "model": {"kind": "khm", "k1": 1e300, "k2": 1.0, "hbar": 1e-10}},
+        {"command": "check-symmetries", "output_prefix": str(new / "x"),  # no rational
+         "model": {"kind": "khm", "k1": 1.0, "k2": 1.0}, "s_max": 1},      # in (0, 1)
     ]
     for i, cfg in enumerate(bad):
         assert main([write_config(tmp_path, f"bad{i}.json", cfg)]) == 2, cfg
     assert main([write_config(tmp_path, "ok.json", butterfly_config(new)),
                  "--workers", "0"]) == 2
+    symmetries = {"command": "check-symmetries", "output_prefix": str(new / "x"),
+                  "model": {"kind": "khm", "k1": 1.0, "k2": 1.0}}
+    assert main([write_config(tmp_path, "sym.json", symmetries), "--s-max", "1"]) == 2
     assert not new.exists()
 
 
@@ -459,6 +464,10 @@ def test_model_fields_each_command_accepts_exit_zero(tmp_path):
         {"command": "evolve", "output_prefix": str(tmp_path / "ev"),
          "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0, "hbar": "2pi*3/19"},
          "n_steps": 20},
+        # no hbar mirror off (1, 1): the period and kick-swap claims run, and pass
+        {"command": "check-symmetries", "output_prefix": str(tmp_path / "sym"),
+         "model": {"kind": "dkrm-general", "k1": 0.9, "k2": 0.4, "resonance": [1, 2]},
+         "s_max": 5, "theta_count": 4, "n_rationals": 3},
     ]
     for i, cfg in enumerate(good):
         assert main([write_config(tmp_path, f"good{i}.json", cfg)]) == 0, cfg

@@ -117,7 +117,19 @@ def test_model_spec_validation():
                             (DKRM_RESONANT, (1.0, 1.0)), (DKRM_GENERAL, (True, 2))):
         with pytest.raises(ValueError):
             ModelSpec(kind, 1.0, 1.0, hb, resonance=resonance)
-    assert ModelSpec(DKRM_RESONANT, 1.0, 1.0, hb).resonance_order == (1, 1)
+    assert ModelSpec(DKRM_RESONANT, 1.0, 1.0, hb).resonance == (1, 1)
+    # an empty or non-coprime pair is rejected, not read as the principal resonance
+    for kind, resonance in ((DKRM_RESONANT, ()), (KHM, []), (DKRM_GENERAL, ()),
+                            (DKRM_RESONANT, (2, 2)), (DKRM_GENERAL, (3, 6))):
+        with pytest.raises(ValueError, match="coprime"):
+            ModelSpec(kind, 1.0, 1.0, hb, resonance=resonance)
+    # the principal resonance has one spelling: given or not, the model stores (1, 1),
+    # so both are one model, equal and with one hash
+    for kind in (KHM, DKRM_RESONANT):
+        implicit, explicit = ModelSpec(kind, 1.0, 0.5, hb), ModelSpec(kind, 1.0, 0.5, hb, (1, 1))
+        assert implicit.resonance == explicit.resonance == (1, 1)
+        assert implicit == explicit and hash(implicit) == hash(explicit)
+        assert len({implicit, explicit, ModelSpec(kind, 1.0, 0.5, hb, [1, 1])}) == 1
 
 
 def test_lab_params_rescale_to_model():

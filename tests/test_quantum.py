@@ -153,6 +153,10 @@ def test_harper_phase_exact_table_matches_float_formula():
     naive = np.exp(-1j * 1.7 * np.cos(hb.value * l.astype(float)))
     assert np.max(np.abs(hp.values(l) - naive)) < 1e-9
     assert np.array_equal(hp.values(l), hp.values(l + 19))
+    # the table is the kick table on den sites, with the bits of the formula it replaced
+    angles = TWO_PI * np.arange(19) / 19
+    inline = np.exp(-1j * 1.7 * np.cos(angles))[(3 % 19) * (l % 19) % 19]
+    assert np.array_equal(hp.values(l), inline)
 
 
 def test_apply_quadratic_phase_is_sitewise():
@@ -204,7 +208,7 @@ def flat_period_factors(model):
     if model.kind == KHM:
         return (KickFactor(model.k1 / hb),
                 HarperPhase(model.k2 / hb, model.hbar_eff))
-    nu, mu = model.resonance_order
+    nu, mu = model.resonance
     res = Fraction(2 * nu, mu) % 2
     res_coeff = TWO_PI * res.numerator / res.denominator
     if cyc is not None:
@@ -441,15 +445,22 @@ def test_evolve_matches_manual_floquet_loop():
         assert series.variance[t] == pytest.approx(momentum_variance(cur, 0),
                                                    rel=1e-12)
     growing = ModelSpec(DKRM_RESONANT, 4.0, 0.4, hb)
+    # a state spread over every site: step 0 records a nonzero variance and edge mass
+    hb_rational = parse_effective_planck("2pi*3/19")
+    rng = np.random.default_rng(19)
+    amps = rng.normal(size=256) + 1j * rng.normal(size=256)
+    spread = Wavepacket(-128, 127, amps / np.linalg.norm(amps), hb_rational)
     runs = [
-        (growing, 64, 150, 1),
-        (growing, 64, 150, 7),
-        (ModelSpec(KHM, 1.5, 1.0, EffPlanck(0.9)), 256, 200, 3),
-        (ModelSpec(DKRM_GENERAL, 2.0, 1.5, EffPlanck(1.3), (1, 2)), 256, 200, 1),
+        (growing, Wavepacket.delta(l0=3, n_sites=64, hbar_eff=hb), 150, 1),
+        (growing, Wavepacket.delta(l0=3, n_sites=64, hbar_eff=hb), 150, 7),
+        (ModelSpec(KHM, 1.5, 1.0, EffPlanck(0.9)),
+         Wavepacket.delta(l0=3, n_sites=256, hbar_eff=EffPlanck(0.9)), 200, 3),
+        (ModelSpec(DKRM_GENERAL, 2.0, 1.5, EffPlanck(1.3), (1, 2)),
+         Wavepacket.delta(l0=3, n_sites=256, hbar_eff=EffPlanck(1.3)), 200, 1),
+        (ModelSpec(DKRM_RESONANT, 1.2, 0.9, hb_rational), spread, 40, 1),
     ]
-    for model, n_sites, n_steps, record_every in runs:
-        psi = Wavepacket.delta(l0=3, n_sites=n_sites, hbar_eff=model.hbar_eff)
-        amps0 = psi.amps.copy()
+    for model, psi, n_steps, record_every in runs:
+        n_sites, amps0 = psi.n_sites, psi.amps.copy()
         series = evolve(model, psi, n_steps, record_every)
         assert np.array_equal(psi.amps, amps0)
         steps, variance, leak, final_sites = stepped_evolve(
@@ -462,6 +473,8 @@ def test_evolve_matches_manual_floquet_loop():
         assert (series.growth[-1][1] if series.growth else n_sites) == final_sites
         if model is growing:
             assert final_sites >= 8 * n_sites
+        if psi is spread:
+            assert series.variance[0] > 0 and series.leak[0] > 0.1
     # a site budget reached mid-growth stops evolve at the first step after
     # which the stepped loop's lattice is larger than the budget
     psi = Wavepacket.delta(l0=3, n_sites=64, hbar_eff=hb)

@@ -75,7 +75,7 @@ def candidate_scan_period(model):
     if model.kind == KHM:
         candidates = (rp.den,)
     else:
-        base = math.lcm(rp.den, model.resonance_order[1])
+        base = math.lcm(rp.den, model.resonance[1])
         candidates = (base, 2 * base, 4 * base)
     diags = [f for f in floquet_factors(model) if not isinstance(f, KickFactor)]
     for period in candidates:
@@ -157,7 +157,7 @@ def test_folded_models_commute_with_translation_by_the_folded_period():
     for model in period_sweep_models():
         if fold_of(model) == 1:
             continue
-        folded.add((model.kind, model.resonance_order))
+        folded.add((model.kind, model.resonance))
         period = lattice_period(model)
         steps = quantum._kernel_tables(model, 0, 2 * period)
         ring = quantum._apply_period(steps, np.eye(2 * period, dtype=np.complex128)).T
@@ -792,6 +792,24 @@ def test_double_kick_butterfly_symmetries_hold():
     assert names == {"period 4*pi", "mirror about 2*pi", "kick swap"}
     for r in reports:
         assert r.passed and r.distance < 1e-8
+
+
+def test_double_kick_claims_off_the_principal_resonance_list_no_mirror():
+    """Off resonance (1, 1) the double kicks have no hbar mirror, so the claims hold the
+    4*pi period and the kick swap only, and all pass.  The dropped mirror partner
+    (2 den - num)/den, solved directly, is far from isospectral."""
+    rationals = [Rational(1, 3), Rational(2, 5)]
+    for resonance in ((1, 2), (1, 3)):
+        reports = check_symmetry_claims(DKRM_GENERAL, 0.9, 0.4, rationals, theta_count=6,
+                                        resonance=resonance)
+        assert [r.name for r in reports] == ["period 4*pi", "kick swap"] * 2
+        for r in reports:
+            assert r.passed and r.distance < 1e-8, (resonance, r)
+        for r in rationals:
+            pair = [model_from_ratios(DKRM_GENERAL, 0.9, 0.4, num, r.den, resonance)
+                    for num in (r.num, 2 * r.den - r.num)]
+            distance = spectrum_set_distance(*spectrum._bloch_spectra(pair, 6))
+            assert distance > 1e-3, (resonance, r, distance)
 
 
 def test_mirror_claim_skipped_when_partner_leaves_the_window():

@@ -41,13 +41,11 @@ def fit_power_law(series, window) -> PowerLawFit:
     n = int(mask.sum())
     if n < 10:
         raise ValueError(f"need >= 10 positive-variance samples in window, got {n}")
-    log_t = np.log(steps[mask])
-    log_v = np.log(var[mask])
+    log_t, log_v = np.log(steps[mask]), np.log(var[mask])
     slope, intercept = np.polyfit(log_t, log_v, 1)
     resid = log_v - (slope * log_t + intercept)
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    return PowerLawFit(float(slope), float(intercept),
-                       (float(t_lo), float(t_hi)), rms)
+    return PowerLawFit(float(slope), float(intercept), (float(t_lo), float(t_hi)), rms)
 
 
 def _median(x) -> float:
@@ -112,20 +110,18 @@ def box_counting_dimension(points, scales=DEFAULT_BOX_SCALES) -> BoxCountResult:
         raise ValueError(f"need a flat array of >= {MIN_BOX_POINTS} points")
     if len(scales) < 4:
         raise ValueError("need >= 4 scales")
-    if any(int(s) < 1 for s in scales):
+    scales = [int(s) for s in scales]
+    if min(scales) < 1:
         raise ValueError("scales must be positive box counts")
     frac = np.mod(pts + np.pi, TWO_PI) / TWO_PI
     ordered = np.sort(pts)   # counts from sorts and bincounts: np.unique loads numpy.ma
     n_distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     if n_distinct == 1:
-        return BoxCountResult(0.0, 0.0, tuple(int(s) for s in scales),
-                              (1,) * len(scales))
+        return BoxCountResult(0.0, 0.0, tuple(scales), (1,) * len(scales))
     counts = []
     for s in scales:
-        s = int(s)
         idx = np.minimum(np.floor(frac * s).astype(np.int64), s - 1)
         counts.append(int(np.count_nonzero(np.bincount(idx, minlength=s))))
-    scales = [int(s) for s in scales]
     kept = [(s, c) for s, c in zip(scales, counts) if c < s and c < n_distinct]
     if len(kept) < 2:
         kept = list(zip(scales, counts))

@@ -65,12 +65,13 @@ def canonical_transform(pt: PhasePoint) -> PhasePoint:
     return PhasePoint(pt.q, pt.p + pt.q)
 
 
-def equivalence_residual(pt: PhasePoint, k1: float, k2: float):
+def equivalence_residual(pt: PhasePoint, k1: float, k2: float, image=None):
     """Pointwise defect of the conjugacy shear∘composed-map = harper-map∘shear.
 
-    Returns max(circular q-distance, |dp|); same shape as the inputs.
+    Returns max(circular q-distance, |dp|); same shape as the inputs.  image is the
+    composed map's image of pt if the caller has it already.
     """
-    via_dkrm = canonical_transform(dkrm_resonant_map(pt, k1, k2))
+    via_dkrm = canonical_transform(dkrm_resonant_map(pt, k1, k2) if image is None else image)
     via_khm = khm_map(canonical_transform(pt), k1, k2)
     dq = circular_distance(via_dkrm.q, via_khm.q)
     dp = np.abs(via_dkrm.p - via_khm.p)

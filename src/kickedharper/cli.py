@@ -252,8 +252,7 @@ def run_evolve(model: ModelSpec, knobs: dict, prefix: str) -> int:
         fit = fit_power_law(series, (window[0], window[1]))
         alpha, label = fit.alpha, classify_transport(fit, series)
     else:
-        # a run with no positive variance (e.g. zero kicks) never left its
-        # initial site, so the bounded label applies
+        # no positive variance (e.g. zero kicks): the run never left its site, so bounded
         alpha, label = None, LOCALIZED
     _write_json(prefix + "_summary.json", {
         "alpha": alpha,
@@ -278,7 +277,7 @@ def run_classical(model: ModelSpec, knobs: dict, prefix: str) -> int:
         size = min(SWEEP_CHUNK, n_points - lo)
         pts = PhasePoint(rng.uniform(0.0, TWO_PI, size), p_rng.uniform(0.0, TWO_PI, size))
         half, comp = dkrm_half_steps(pts, k1, k2), dkrm_resonant_map(pts, k1, k2)
-        np.maximum(worst, [np.max(equivalence_residual(pts, k1, k2)),
+        np.maximum(worst, [np.max(equivalence_residual(pts, k1, k2, comp)),
                            np.max(np.abs(half.q - comp.q)),
                            np.max(np.abs(half.p - comp.p))], out=worst)
     eq_res, half_dev = float(worst[0]), float(max(worst[1], worst[2]))
@@ -376,6 +375,11 @@ def _parse_args(argv) -> tuple[str, dict]:
     return args.pop("config"), {k: v for k, v in args.items() if v is not None}
 
 
+# the stderr label and exit code of each error that ends a run (module docstring)
+_EXITS = {ConfigError: ("config error", 2), ResourceLimitError: ("resource limit", 3),
+          NumericalError: ("numerical failure", 4), OSError: ("io error", 1)}
+
+
 def main(argv=None) -> int:
     path, overrides = _parse_args(argv)
     try:
@@ -383,18 +387,10 @@ def main(argv=None) -> int:
         cfg.update(overrides)
         run, model, knobs = _parse_run(cfg)
         return run(model, knobs, knobs["output_prefix"])
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_EXITS) as exc:
+        label, code = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry():

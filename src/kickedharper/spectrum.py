@@ -107,46 +107,55 @@ def quasienergies(u: np.ndarray) -> np.ndarray:
     return _stack_phases(np.asarray(u)[None])[0]
 
 
-def _stack_phases(u: np.ndarray) -> np.ndarray:
+def _stack_phases(u: np.ndarray, symmetric: bool = False) -> np.ndarray:
     """Sorted eigenphases in (-pi, pi] of each unitary block of a (B, P, P) stack.
 
     The first pole, CAYLEY_TILT - arg(-tr U), lies opposite the eigenphase centroid: in
     the gap of a spectrum that spans less than the circle, and off the eigenphases 0 and
     pi of one symmetric about 0 (tr U real).  A block with an eigenphase within
     CAYLEY_CLEARANCE of it is re-solved at the middle of its widest gap, and one that
-    fails the tr U and tr U^2 check falls back to dense eigvals."""
-    eps, clearance = _cayley_phases(u, CAYLEY_TILT - np.angle(-np.trace(u, axis1=1, axis2=2)))
+    fails the tr U and tr U^2 check falls back to dense eigvals.  symmetric: the blocks
+    are complex symmetric (_solve_stack), for the real solve of _cayley_phases."""
+    pole = CAYLEY_TILT - np.angle(-np.trace(u, axis1=1, axis2=2))
+    eps, clearance = _cayley_phases(u, pole, symmetric)
     redo = np.flatnonzero(clearance < CAYLEY_CLEARANCE)
     if redo.size:
         ring = np.concatenate([eps[redo], eps[redo, :1] + TWO_PI], axis=1)
         k, rows = np.argmax(np.diff(ring), axis=1), np.arange(redo.size)
-        eps[redo], _ = _cayley_phases(u[redo], 0.5 * (ring[rows, k] + ring[rows, k + 1]))
+        pole = 0.5 * (ring[rows, k] + ring[rows, k + 1])
+        eps[redo], _ = _cayley_phases(u[redo], pole, symmetric)
     for b in np.flatnonzero(~_moments_match(u, eps)):
         eps[b] = _eigvals_phases(u[b])
     return eps
 
 
-def _cayley_phases(u: np.ndarray, pole) -> tuple:
+def _cayley_phases(u: np.ndarray, pole, symmetric: bool = False) -> tuple:
     """(sorted eigenphases, distance of the nearest one to pole) of each block of u.
 
-    V = e^{i(pole + pi)} U maps the eigenphase `pole` to -1, and
-    H = i(V - I)(V + I)^{-1} = i(I - 2 (V + I)^{-1}) is Hermitian with
-    eigenvalues w = -tan(phi/2) for each eigenvalue e^{i phi} of V, so
-    epsilon = pole + pi + 2 arctan(w).  Rounding in H grows like the inverse
-    of that distance, which is why the caller re-solves when it is small.
-    pole is a scalar or one per block.
+    V = e^{i(pole + pi)} U maps the eigenphase `pole` to -1, and H = i(V - I)(V + I)^{-1}
+    = i(I - 2 (V + I)^{-1}) is Hermitian with eigenvalues w = -tan(phi/2) for each
+    eigenvalue e^{i phi} of V, so epsilon = pole + pi + 2 arctan(w).  Rounding in H grows
+    like the inverse of that distance, which is why the caller re-solves when it is small.
+    pole is a scalar or one per block.  A symmetric (unitary) V is X + iY with X and Y
+    real, symmetric and commuting, so H = -(I + X)^{-1} Y is real symmetric.
     """
     pole = np.asarray(pole, dtype=np.float64)[..., None]
     diag = np.arange(u.shape[-1])
-    h = u * np.exp(1j * (pole[..., None] + np.pi))
-    h[..., diag, diag] += 1.0
-    # np.linalg's inv and eigvalsh gufuncs, inv writing over its input to bound
-    # peak memory; a singular V + I or a failed solve leaves a NaN block
+    turn = np.exp(1j * (pole[..., None] + np.pi))
+    # np.linalg's gufuncs, inv over its input; a singular V + I or failed solve leaves NaNs
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        _umath_linalg.inv(h, signature="D->D", out=h)
-        h *= -2j
-        h[..., diag, diag] += 1j
-        w = _umath_linalg.eigvalsh_lo(h, signature="D->d")
+        if symmetric:
+            h = u.real * turn.real - u.imag * turn.imag
+            h[..., diag, diag] += 1.0
+            h = _umath_linalg.solve(h, -u.real * turn.imag - u.imag * turn.real,
+                                    signature="dd->d")
+        else:
+            h = u * turn
+            h[..., diag, diag] += 1.0
+            _umath_linalg.inv(h, signature="D->D", out=h)
+            h *= -2j
+            h[..., diag, diag] += 1j
+        w = _umath_linalg.eigvalsh_lo(h, signature="d->d" if symmetric else "D->d")
     clearance = np.pi - 2.0 * np.arctan(np.max(np.abs(w), axis=-1))
     eps = np.mod(pole + TWO_PI + 2.0 * np.arctan(w), TWO_PI) - np.pi
     return _sorted_half_open(eps), clearance
@@ -238,7 +247,26 @@ def _bloch_spectra(models: list, theta_count: int, workers: int = 1) -> list:
 
 
 def _solve_stack(stack: tuple) -> np.ndarray:
-    return _stack_phases(_bloch_stack(*stack))   # one stack of _bloch_spectra
+    """One stack of _bloch_spectra; the solver is chosen here.  One-step (khm) blocks are
+    made complex symmetric in place, for the real solve (README, "Time reversal")."""
+    u = _bloch_stack(*stack)
+    steps, owner, phis, period = stack
+    if len(steps[0]) > 1:
+        return _stack_phases(u)
+    sites, n = np.arange(period), (period - 1) // 2
+    mirror = np.minimum(sites, period - sites)
+    h = np.sqrt([_diagonal_table(fs, 0, period)[mirror] for ((_, fs),) in steps])[owner]
+    a = np.exp(1j * phis[:, None] * sites / period) / h
+    pair = np.where(2 * sites % period, math.sqrt(0.5), 1.0)   # so the pair basis is orthonormal
+    u *= (pair / a)[:, None, :]
+    u *= (pair * a)[:, :, None]
+    for v, turn in ((u, 1j), (u.swapaxes(1, 2), -1j)):   # rows, then columns: the sum at l,
+        lo, hi = v[:, 1:n + 1], v[:, period - 1:period - n - 1:-1]   # the difference at P - l
+        lo += hi
+        hi *= -2.0
+        hi += lo
+        hi *= turn
+    return _stack_phases(u, True)
 
 
 def model_spectrum(model: ModelSpec, theta_count: int) -> SpectrumSet:

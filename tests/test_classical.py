@@ -65,6 +65,17 @@ def test_equivalence_residual_vanishes_for_all_kick_pairs():
         assert np.max(res) < 1e-12, (k1, k2)
 
 
+def test_equivalence_residual_reuses_a_given_image_bit_for_bit():
+    """The classical sweep hands in the composed map's image it already has."""
+    pts = random_points(5000, seed=8)
+    for k1, k2 in K_PAIRS:
+        image = dkrm_resonant_map(pts, k1, k2)
+        assert np.array_equal(equivalence_residual(pts, k1, k2, image),
+                              equivalence_residual(pts, k1, k2)), (k1, k2)
+    shifted = PhasePoint(image.q + 0.25, image.p)   # the image is used, not recomputed
+    assert np.min(equivalence_residual(pts, k1, k2, shifted)) > 0.24
+
+
 def test_equivalence_residual_detects_wrong_map():
     # conjugating with swapped kick strengths must not look equivalent
     pts = random_points(1000, seed=6)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kickedharper
-from kickedharper import cli, quantum, spectrum
+from kickedharper import classical, cli, quantum, spectrum
 from kickedharper import (BALLISTIC, DIFFUSIVE, DKRM_RESONANT, KHM, LOCALIZED, SUBDIFFUSIVE,
                           ModelSpec, NumericalError, build_bloch_matrix, butterfly_scan,
                           model_spectrum, parse_effective_planck)
@@ -209,6 +209,22 @@ def test_chunked_classical_sweep_matches_the_whole_array_sweep(tmp_path, kind):
         report, rows = whole_array_sweep(kind, 3.9, 2.1, n_points, 30, seed)
         assert Path(f"{prefix}_classical.json").read_bytes() == report
         assert Path(f"{prefix}_trajectory.csv").read_bytes() == rows
+
+
+def test_classical_sweep_maps_each_chunk_once(tmp_path, monkeypatch):
+    """The half-step check and the equivalence residual share one composed map per chunk."""
+    calls = []
+
+    def counted(pts, k1, k2):
+        calls.append(pts.q.size)
+        return dkrm_resonant_map(pts, k1, k2)
+
+    monkeypatch.setattr(cli, "dkrm_resonant_map", counted)
+    monkeypatch.setattr(classical, "dkrm_resonant_map", counted)
+    cfg = {"command": "classical", "output_prefix": str(tmp_path / "cl"), "n_steps": 5,
+           "n_points": 2 * SWEEP_CHUNK + 1, "model": {"kind": KHM, "k1": 1.3, "k2": 0.7}}
+    assert main([write_config(tmp_path, "c.json", cfg)]) == 0
+    assert calls == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
 
 
 def test_classical_rejects_the_general_resonance_model(tmp_path):

@@ -4,8 +4,9 @@ classical.orbit steps the trajectory with math.sin and %, and
 tests/golden/classical_trajectory.csv holds the bits of np.sin and np.mod, so a
 platform whose numpy sine differs from libm fails here instead of only in the
 golden file.  quantum._apply_period calls numpy's private pocketfft ufuncs, and
-spectrum._cayley_phases the private linalg gufuncs; a numpy release without
-them, or with another scale, fails here instead of deep inside the other tests.
+spectrum._cayley_phases the private linalg gufuncs, complex (inv, eigvalsh_lo) and
+real (solve, eigvalsh_lo); a numpy release without them, or with another scale,
+fails here instead of deep inside the other tests.
 """
 
 import math
@@ -46,3 +47,16 @@ def test_linalg_inv_and_eigvalsh_lo_gufuncs_match_np_linalg():
     w = _umath_linalg.eigvalsh_lo(h, signature="D->d")
     assert w.dtype == np.float64 and w.shape == (3,)
     assert np.allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-12), "eigvalsh_lo differs"
+
+
+def test_linalg_real_solve_and_eigvalsh_lo_gufuncs_match_np_linalg():
+    rng = np.random.default_rng(1)
+    a, b = rng.normal(size=(3, 3)) + 3 * np.eye(3), rng.normal(size=(3, 3))
+    h = _umath_linalg.solve(a, b, signature="dd->d")
+    assert h.dtype == np.float64 and h.shape == (3, 3)
+    assert np.allclose(h, np.linalg.solve(a, b), rtol=0, atol=1e-12), (
+        "solve gufunc differs from np.linalg.solve")
+    h = h + h.T
+    w = _umath_linalg.eigvalsh_lo(h, signature="d->d")
+    assert w.dtype == np.float64 and w.shape == (3,)
+    assert np.allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-12), "real eigvalsh_lo differs"

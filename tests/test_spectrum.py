@@ -265,6 +265,99 @@ def test_an_eigenphase_within_rounding_of_minus_pi_reads_as_pi():
     assert eps.tolist() == [pytest.approx(0.3, abs=1e-14), np.pi]
 
 
+# ── khm blocks: the real solve through time reversal ───────────────────────
+
+@pytest.fixture
+def cayley_paths(monkeypatch):
+    """(real solve?, blocks, largest |M - M^T| of a block) per _cayley_phases call."""
+    calls, solve = [], spectrum._cayley_phases
+
+    def spy(u, pole, *symmetric):
+        calls.append((bool(symmetric and symmetric[0]), u.shape[0],
+                      float(np.max(np.abs(u - u.swapaxes(1, 2))))))
+        return solve(u, pole, *symmetric)
+
+    monkeypatch.setattr(spectrum, "_cayley_phases", spy)
+    return calls
+
+
+def khm_stack(models, thetas):
+    """A _bloch_spectra stack of one-step blocks: block b is models[b % M] at thetas[b]."""
+    owner = np.arange(len(thetas)) % len(models)
+    return ([quantum._period_steps(m) for m in models], owner,
+            np.asarray(thetas, dtype=np.float64), lattice_period(models[0]))
+
+
+def assert_real_solve_matches_the_complex_one_and_eigvals(models, thetas):
+    stack = khm_stack(models, thetas)
+    real = spectrum._solve_stack(stack)
+    complex_solve = spectrum._stack_phases(spectrum._bloch_stack(*stack))
+    for b, theta in enumerate(thetas):
+        dense = eigvals_phases(build_bloch_matrix(models[b % len(models)], theta))
+        assert spectrum_set_distance(real[b], complex_solve[b]) <= 1e-12, (b, theta)
+        assert spectrum_set_distance(real[b], dense) <= 1e-12, (b, theta)
+
+
+@pytest.mark.parametrize("num,den,ratios", [
+    (89, 233, (1.0, 1.0)), (5, 13, (1.0, 0.5)),                      # odd P
+    (55, 144, (1.0, 1.0)), (3, 8, (1.0, 0.5)), (1, 2, (1.0, 0.5))])  # even: fixed 0 and P/2
+def test_real_khm_solve_matches_the_complex_solve_and_eigvals(num, den, ratios, cayley_paths,
+                                                            no_fallback):
+    assert_real_solve_matches_the_complex_one_and_eigvals(
+        [model_from_ratios(KHM, *ratios, num, den)], [0.0, math.pi, 2.1])
+    real = [c for c in cayley_paths if c[0]]
+    assert [c[1] for c in real] == [3]                  # one first pass, all three blocks
+    assert real[0][2] < 1e-13                           # and they reached it symmetric
+
+
+def test_real_khm_solve_reads_each_block_with_its_own_model(cayley_paths, no_fallback):
+    """A stack holds blocks of several rationals and kick strengths of one period."""
+    models = [model_from_ratios(KHM, r1, r2, num, 13)
+              for num, r1, r2 in [(5, 1.0, 0.5), (6, 2.3, 0.4), (4, 0.7, 1.9)]]
+    assert_real_solve_matches_the_complex_one_and_eigvals(models, theta_grid(7))
+    assert [c[:2] for c in cayley_paths if c[0]] == [(True, 7)]
+
+
+def test_real_khm_solve_takes_one_square_root_per_site_pair(cayley_paths, no_fallback):
+    """At hbar = 2 pi 1/5 and this k2 the Harper table is -1 at the sites 2 and 3, up to
+    rounding on either side of the square root's branch cut; h is read at min(l, P - l),
+    so the pair keeps one root and the block stays symmetric."""
+    model = ModelSpec(KHM, 1.0, 4.879800780311018, EffPlanck.from_rational(1, 5))
+    table = quantum._diagonal_table(quantum._period_steps(model)[0][1], 0, 5)
+    assert table[2].real < -0.99 and table[2].imag > 0 > table[3].imag
+    assert_real_solve_matches_the_complex_one_and_eigvals([model], [0.0, 1.3])
+    assert all(c[2] < 1e-13 for c in cayley_paths if c[0])
+    assert cayley_paths[0][:2] == (True, 2)
+
+
+def test_real_khm_solve_re_solves_a_block_near_its_first_pole(cayley_paths, no_fallback):
+    """k/hbar 4.0 and 4.0 at hbar = 2 pi 2/7 fill the circle: at theta = 2 pi 3/16 an
+    eigenphase lies 0.006 from the first pole, and the re-solve is real too."""
+    assert_real_solve_matches_the_complex_one_and_eigvals(
+        [model_from_ratios(KHM, 4.0, 4.0, 2, 7)], [TWO_PI * 3 / 16])
+    assert [c[:2] for c in cayley_paths if c[0]] == [(True, 1), (True, 1)]
+
+
+def test_critical_fractal_khm_blocks_all_take_the_real_solve(tmp_path, cayley_paths,
+                                                           monkeypatch):
+    """The benchmark's critical fractals: all 9 khm blocks (P = 233) take the real solve,
+    and the double kick's 5 keep the complex one.  No block falls back to eigvals: a wrong
+    symmetrization still gives the right spectra through that fallback, only slower."""
+    fallbacks, dense = [], spectrum._eigvals_phases
+    monkeypatch.setattr(spectrum, "_eigvals_phases",
+                        lambda u: fallbacks.append(u.shape) or dense(u))
+    for kind, theta_count, path in [(KHM, 16, True), (DKRM_RESONANT, 8, False)]:
+        cayley_paths.clear()
+        cfg = {"command": "fractal", "theta_count": theta_count,
+               "output_prefix": str(tmp_path / kind),
+               "model": {"kind": kind, "k1": 1.0, "k2": 1.0, "hbar": "2pi*89/233"}}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main([str(tmp_path / "c.json")]) == 0
+        assert [c[:2] for c in cayley_paths] == [(path, 1)] * (9 if path else 5), kind
+        assert all(c[2] < 1e-13 for c in cayley_paths if c[0])
+    assert fallbacks == []
+
+
 # ── Cayley eigen-solve against the dense eigvals oracle ────────────────────
 
 def assert_matches_oracle(block):
@@ -320,9 +413,9 @@ def test_eigenphase_at_the_first_pole_forces_one_re_solve(monkeypatch, no_fallba
     poles = []
     solve = spectrum._cayley_phases
 
-    def spy(u, pole):
+    def spy(u, pole, *symmetric):
         poles.append(pole)
-        return solve(u, pole)
+        return solve(u, pole, *symmetric)
 
     monkeypatch.setattr(spectrum, "_cayley_phases", spy)
     pole = spectrum.CAYLEY_TILT - np.pi
@@ -340,13 +433,13 @@ def cayley_calls(monkeypatch):
     (the call after a first pass within one _stack_phases)."""
     calls, solve, stack_phases = [], spectrum._cayley_phases, spectrum._stack_phases
 
-    def stacked(u):
+    def stacked(u, *symmetric):
         calls.append(None)
-        return stack_phases(u)
+        return stack_phases(u, *symmetric)
 
-    def spy(u, pole):
+    def spy(u, pole, *symmetric):
         calls.append((1 if calls[-1] is None else 2, u.shape[0]))
-        return solve(u, pole)
+        return solve(u, pole, *symmetric)
 
     monkeypatch.setattr(spectrum, "_stack_phases", stacked)
     monkeypatch.setattr(spectrum, "_cayley_phases", spy)
@@ -390,7 +483,7 @@ def test_first_pole_lies_opposite_the_spectral_centroid(monkeypatch, no_fallback
     poles = []
     solve = spectrum._cayley_phases
     monkeypatch.setattr(spectrum, "_cayley_phases",
-                        lambda u, pole: poles.append(pole) or solve(u, pole))
+                        lambda u, pole, *sym: poles.append(pole) or solve(u, pole, *sym))
     for c in (-2.5, 0.0, 1.0, 2.0):
         poles.clear()
         eps = wrap_phase(c + np.array([-0.3, 0.0, 0.2, 0.35]))

@@ -5,8 +5,8 @@ from .analysis import (BALLISTIC, DIFFUSIVE, LOCALIZED, SUBDIFFUSIVE,
                        classify_transport, fit_power_law, hausdorff_from_alpha,
                        spectrum_set_distance)
 from .classical import (PhasePoint, canonical_transform, circular_distance,
-                        dkrm_half_steps, dkrm_resonant_map, equivalence_residual,
-                        khm_map, orbit, trajectory)
+                        conjugacy_defects, dkrm_half_steps, dkrm_resonant_map,
+                        equivalence_residual, khm_map, orbit, trajectory)
 from .errors import (ConfigError, LatticeOverflowError, NumericalError,
                      ResourceLimitError)
 from .lattice import (DKRM_GENERAL, DKRM_RESONANT, KHM, MODEL_KINDS,

@@ -65,17 +65,21 @@ def canonical_transform(pt: PhasePoint) -> PhasePoint:
     return PhasePoint(pt.q, pt.p + pt.q)
 
 
-def equivalence_residual(pt: PhasePoint, k1: float, k2: float, image=None):
-    """Pointwise defect of the conjugacy shear∘composed-map = harper-map∘shear.
+def conjugacy_defects(pt: PhasePoint, k1: float, k2: float):
+    """Per point, from three sines: the equivalence residual (shear∘composed map against
+    Harper map∘shear) and the half steps' |dq|, |dp| against the composed map.  kick =
+    k1 sin q is one float in all three maps, and q + p + kick is both the composed map's
+    sine argument and Harper's p' at the shear: both q' agree, so the residual is |dp|."""
+    kick = k1 * np.sin(pt.q)
+    arg, p_mid = pt.q + pt.p + kick, pt.p + kick
+    inner, q_mid = k2 * np.sin(arg), pt.q + p_mid
+    q_new, p_new, p_half = pt.q - inner, pt.p + inner + kick, p_mid + k2 * np.sin(q_mid)
+    return np.abs(p_new + q_new - arg), np.abs(q_mid - p_half - q_new), np.abs(p_half - p_new)
 
-    Returns max(circular q-distance, |dp|); same shape as the inputs.  image is the
-    composed map's image of pt if the caller has it already.
-    """
-    via_dkrm = canonical_transform(dkrm_resonant_map(pt, k1, k2) if image is None else image)
-    via_khm = khm_map(canonical_transform(pt), k1, k2)
-    dq = circular_distance(via_dkrm.q, via_khm.q)
-    dp = np.abs(via_dkrm.p - via_khm.p)
-    return np.maximum(dq, dp)
+
+def equivalence_residual(pt: PhasePoint, k1: float, k2: float):
+    """Pointwise defect of the conjugacy shear∘composed-map = harper-map∘shear."""
+    return conjugacy_defects(pt, k1, k2)[0]
 
 
 # ── iteration ──────────────────────────────────────────────────────────────

@@ -21,8 +21,7 @@ import numpy as np
 
 from .analysis import (DEFAULT_BOX_SCALES, LOCALIZED, MIN_BOX_POINTS,
                        box_counting_dimension, classify_transport, fit_power_law)
-from .classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
-                        equivalence_residual, orbit)
+from .classical import PhasePoint, conjugacy_defects, orbit
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .lattice import (KHM, TWO_PI, ModelSpec, Wavepacket,
                       farey_sequence, parse_effective_planck)
@@ -276,10 +275,7 @@ def run_classical(model: ModelSpec, knobs: dict, prefix: str) -> int:
     for lo in range(0, n_points, SWEEP_CHUNK):
         size = min(SWEEP_CHUNK, n_points - lo)
         pts = PhasePoint(rng.uniform(0.0, TWO_PI, size), p_rng.uniform(0.0, TWO_PI, size))
-        half, comp = dkrm_half_steps(pts, k1, k2), dkrm_resonant_map(pts, k1, k2)
-        np.maximum(worst, [np.max(equivalence_residual(pts, k1, k2, comp)),
-                           np.max(np.abs(half.q - comp.q)),
-                           np.max(np.abs(half.p - comp.p))], out=worst)
+        np.maximum(worst, [np.max(d) for d in conjugacy_defects(pts, k1, k2)], out=worst)
     eq_res, half_dev = float(worst[0]), float(max(worst[1], worst[2]))
     q0, p0 = p_rng.uniform(0.0, TWO_PI), p_rng.uniform(0.0, TWO_PI)   # Python floats
     _write_csv(prefix + "_trajectory.csv", "step,q,p", (

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +231,7 @@ def _bloch_spectra(models: list, theta_count: int, workers: int = 1) -> list:
                            phis[c:c + chunk], period))
     workers = min(workers, len(stacks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent import futures   # here, so a serial run never imports logging
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_solve_stack, stacks,
                                    chunksize=max(1, len(stacks) // (4 * workers))))

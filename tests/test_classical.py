@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kickedharper import (PhasePoint, canonical_transform, circular_distance,
-                          dkrm_half_steps, dkrm_resonant_map, equivalence_residual,
-                          khm_map, orbit, trajectory)
+                          conjugacy_defects, dkrm_half_steps, dkrm_resonant_map,
+                          equivalence_residual, khm_map, orbit, trajectory)
 
 K_PAIRS = [(1.3, 0.7), (1.0, 1.0), (3.9, 3.9), (4.0, 0.4)]
 
@@ -65,15 +65,29 @@ def test_equivalence_residual_vanishes_for_all_kick_pairs():
         assert np.max(res) < 1e-12, (k1, k2)
 
 
-def test_equivalence_residual_reuses_a_given_image_bit_for_bit():
-    """The classical sweep hands in the composed map's image it already has."""
-    pts = random_points(5000, seed=8)
+def composed_map_defects(pt, k1, k2):
+    """The conjugacy residual and the half-step deviations from the maps composed in
+    full, six sines per point: the oracle of conjugacy_defects."""
+    image = dkrm_resonant_map(pt, k1, k2)
+    via_dkrm = canonical_transform(image)
+    via_khm = khm_map(canonical_transform(pt), k1, k2)
+    residual = np.maximum(circular_distance(via_dkrm.q, via_khm.q),
+                          np.abs(via_dkrm.p - via_khm.p))
+    half = dkrm_half_steps(pt, k1, k2)
+    return residual, np.abs(half.q - image.q), np.abs(half.p - image.p)
+
+
+def test_conjugacy_defects_equal_the_composed_maps_bit_for_bit():
+    pts = random_points(20_000, seed=8)
     for k1, k2 in K_PAIRS:
-        image = dkrm_resonant_map(pts, k1, k2)
-        assert np.array_equal(equivalence_residual(pts, k1, k2, image),
-                              equivalence_residual(pts, k1, k2)), (k1, k2)
-    shifted = PhasePoint(image.q + 0.25, image.p)   # the image is used, not recomputed
-    assert np.min(equivalence_residual(pts, k1, k2, shifted)) > 0.24
+        fast = conjugacy_defects(pts, k1, k2)
+        for got, want in zip(fast, composed_map_defects(pts, k1, k2), strict=True):
+            assert got.shape == pts.q.shape and np.array_equal(got, want), (k1, k2)
+        assert np.array_equal(equivalence_residual(pts, k1, k2), fast[0])
+        # the comparison is sharp: grouping the sine argument as q + (p + kick), the
+        # half steps' sum, changes the composed map's bits at some of these points
+        kick = k1 * np.sin(pts.q)
+        assert not np.array_equal(np.sin(pts.q + pts.p + kick), np.sin(pts.q + (pts.p + kick)))
 
 
 def test_equivalence_residual_detects_wrong_map():

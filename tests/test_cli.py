@@ -17,8 +17,8 @@ from kickedharper import classical, cli, quantum, spectrum
 from kickedharper import (BALLISTIC, DIFFUSIVE, DKRM_RESONANT, KHM, LOCALIZED, SUBDIFFUSIVE,
                           ModelSpec, NumericalError, build_bloch_matrix, butterfly_scan,
                           model_spectrum, parse_effective_planck)
-from kickedharper.classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map,
-                                    equivalence_residual, trajectory)
+from kickedharper.classical import (PhasePoint, canonical_transform, circular_distance,
+                                    dkrm_half_steps, dkrm_resonant_map, khm_map, trajectory)
 from kickedharper.cli import (DIFFUSION_HEADER, SPECTRUM_HEADER, SPECTRUM_PREFIX,
                               SWEEP_CHUNK, main)
 from kickedharper.lattice import TWO_PI
@@ -183,8 +183,10 @@ def whole_array_sweep(kind, k1, k2, n_points, n_steps, seed):
     point at once: the oracle of the chunked sweep."""
     rng = np.random.default_rng(seed)
     pts = PhasePoint(rng.uniform(0.0, TWO_PI, n_points), rng.uniform(0.0, TWO_PI, n_points))
-    eq_res = float(np.max(equivalence_residual(pts, k1, k2)))
     half, comp = dkrm_half_steps(pts, k1, k2), dkrm_resonant_map(pts, k1, k2)
+    via_dkrm, via_khm = canonical_transform(comp), khm_map(canonical_transform(pts), k1, k2)
+    eq_res = float(np.max(np.maximum(circular_distance(via_dkrm.q, via_khm.q),
+                                     np.abs(via_dkrm.p - via_khm.p))))
     half_dev = float(max(np.max(np.abs(half.q - comp.q)), np.max(np.abs(half.p - comp.p))))
     start = PhasePoint(float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(0.0, TWO_PI)))
     map_kind = "khm" if kind == KHM else "dkrm"
@@ -212,19 +214,26 @@ def test_chunked_classical_sweep_matches_the_whole_array_sweep(tmp_path, kind):
 
 
 def test_classical_sweep_maps_each_chunk_once(tmp_path, monkeypatch):
-    """The half-step check and the equivalence residual share one composed map per chunk."""
-    calls = []
+    """Both checks of a chunk come from one pass of the shared-sine kernel, and the
+    sweep steps none of the public maps."""
+    calls, mapped = [], []
 
     def counted(pts, k1, k2):
         calls.append(pts.q.size)
-        return dkrm_resonant_map(pts, k1, k2)
+        return classical.conjugacy_defects(pts, k1, k2)
 
-    monkeypatch.setattr(cli, "dkrm_resonant_map", counted)
-    monkeypatch.setattr(classical, "dkrm_resonant_map", counted)
+    def recorded(name):
+        return lambda *args: mapped.append(name)
+
+    monkeypatch.setattr(cli, "conjugacy_defects", counted)
+    for name in ("khm_map", "dkrm_half_steps", "dkrm_resonant_map"):
+        monkeypatch.setattr(classical, name, recorded(name))
+        monkeypatch.setattr(cli, name, recorded(name), raising=False)
     cfg = {"command": "classical", "output_prefix": str(tmp_path / "cl"), "n_steps": 5,
            "n_points": 2 * SWEEP_CHUNK + 1, "model": {"kind": KHM, "k1": 1.3, "k2": 0.7}}
     assert main([write_config(tmp_path, "c.json", cfg)]) == 0
     assert calls == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
+    assert mapped == []
 
 
 def test_classical_rejects_the_general_resonance_model(tmp_path):
@@ -340,11 +349,14 @@ def test_evolve_fractal_and_check_symmetries_leave_numpy_ma_unloaded(tmp_path):
 
 
 def test_importing_the_cli_leaves_numpy_fft_unloaded():
-    # the period kernel reaches numpy.fft when it first runs, so commands that never
-    # step a lattice, and every command's set-up, do not pay for loading it
-    proc = run_python(["-c", "import sys, kickedharper.cli; print('numpy.fft' in sys.modules)"])
+    # the period kernel reaches numpy.fft when it first runs, and a scan imports the
+    # process pool (and logging through it) only when it starts one, so commands that
+    # never need them, and every command's set-up, do not pay for loading them
+    modules = ["numpy.fft", "concurrent.futures", "logging"]
+    proc = run_python(["-c", "import sys, kickedharper.cli; "
+                       f"print(*[m in sys.modules for m in {modules!r}])"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False"] * len(modules)
 
 
 # ── fractal ────────────────────────────────────────────────────────────────

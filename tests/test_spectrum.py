@@ -797,7 +797,7 @@ def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(spectrum.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     serial = butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2).energies
     assert len(scan_rationals(KHM, 3)) == 4  # 1/3 and 2/3 mirror: 3 solved, one stack each
     for cpus, workers, expected in [(3, 100_000, [3]), (64, 100_000, [3]),

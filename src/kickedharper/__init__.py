@@ -4,9 +4,9 @@ from .analysis import (BALLISTIC, DIFFUSIVE, LOCALIZED, SUBDIFFUSIVE,
                        BoxCountResult, PowerLawFit, box_counting_dimension,
                        classify_transport, fit_power_law, hausdorff_from_alpha,
                        spectrum_set_distance)
-from .classical import (PhasePoint, canonical_transform, circular_distance,
-                        conjugacy_defects, dkrm_half_steps, dkrm_resonant_map,
-                        equivalence_residual, khm_map, orbit, trajectory)
+from .classical import (PhasePoint, conjugacy_defects, dkrm_half_steps,
+                        dkrm_resonant_map, equivalence_residual, khm_map, orbit,
+                        trajectory)
 from .errors import (ConfigError, LatticeOverflowError, NumericalError,
                      ResourceLimitError)
 from .lattice import (DKRM_GENERAL, DKRM_RESONANT, KHM, MODEL_KINDS,

@@ -25,12 +25,6 @@ class PhasePoint:
     p: object
 
 
-def circular_distance(a, b):
-    """Distance between angles on the circle of circumference 2*pi."""
-    d = np.abs(np.mod(a - b, TWO_PI))
-    return np.minimum(d, TWO_PI - d)
-
-
 # ── the maps ───────────────────────────────────────────────────────────────
 
 def khm_map(pt: PhasePoint, k1: float, k2: float) -> PhasePoint:
@@ -58,11 +52,6 @@ def dkrm_resonant_map(pt: PhasePoint, k1: float, k2: float) -> PhasePoint:
     p_new = pt.p + k2 * inner + kick
     q_new = pt.q - k2 * inner
     return PhasePoint(q_new, p_new)
-
-
-def canonical_transform(pt: PhasePoint) -> PhasePoint:
-    """Shear to the Harper frame: (q, p) -> (q, p + q)."""
-    return PhasePoint(pt.q, pt.p + pt.q)
 
 
 def conjugacy_defects(pt: PhasePoint, k1: float, k2: float):

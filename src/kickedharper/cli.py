@@ -11,6 +11,7 @@ bytes.  Exit codes: 0 success, 1 failed check or I/O trouble, 2 bad config,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -377,6 +378,9 @@ _EXITS = {ConfigError: ("config error", 2), ResourceLimitError: ("resource limit
 
 
 def main(argv=None) -> int:
+    # once per process: import-time objects live as long as it, so no GC pass walks them
+    if not gc.get_freeze_count():
+        gc.freeze()
     path, overrides = _parse_args(argv)
     try:
         cfg = load_config(path)

@@ -3,11 +3,22 @@
 import numpy as np
 import pytest
 
-from kickedharper import (PhasePoint, canonical_transform, circular_distance,
-                          conjugacy_defects, dkrm_half_steps, dkrm_resonant_map,
+from kickedharper import (PhasePoint, conjugacy_defects, dkrm_half_steps, dkrm_resonant_map,
                           equivalence_residual, khm_map, orbit, trajectory)
+from kickedharper.lattice import TWO_PI
 
 K_PAIRS = [(1.3, 0.7), (1.0, 1.0), (3.9, 3.9), (4.0, 0.4)]
+
+
+def circular_distance(a, b):
+    """Distance between angles on the circle of circumference 2*pi."""
+    d = np.abs(np.mod(a - b, TWO_PI))
+    return np.minimum(d, TWO_PI - d)
+
+
+def canonical_transform(pt):
+    """Shear to the Harper frame: (q, p) -> (q, p + q)."""
+    return PhasePoint(pt.q, pt.p + pt.q)
 
 
 def random_points(n, seed=0):

@@ -17,13 +17,14 @@ from kickedharper import classical, cli, quantum, spectrum
 from kickedharper import (BALLISTIC, DIFFUSIVE, DKRM_RESONANT, KHM, LOCALIZED, SUBDIFFUSIVE,
                           ModelSpec, NumericalError, build_bloch_matrix, butterfly_scan,
                           model_spectrum, parse_effective_planck)
-from kickedharper.classical import (PhasePoint, canonical_transform, circular_distance,
-                                    dkrm_half_steps, dkrm_resonant_map, khm_map, trajectory)
+from kickedharper.classical import (PhasePoint, dkrm_half_steps, dkrm_resonant_map, khm_map,
+                                    trajectory)
 from kickedharper.cli import (DIFFUSION_HEADER, SPECTRUM_HEADER, SPECTRUM_PREFIX,
                               SWEEP_CHUNK, main)
 from kickedharper.lattice import TWO_PI
 from kickedharper.quantum import _period_steps
 from kickedharper.spectrum import _period_and_fold
+from test_classical import canonical_transform, circular_distance
 
 
 def write_config(tmp_path, name, payload):
@@ -357,6 +358,33 @@ def test_importing_the_cli_leaves_numpy_fft_unloaded():
                        f"print(*[m in sys.modules for m in {modules!r}])"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"] * len(modules)
+
+
+def test_main_freezes_the_start_up_heap_once(tmp_path):
+    # the first call moves the import-time objects out of the collector's reach; a
+    # second call in the same process must not also freeze what the first one left
+    # alive (evolve's numpy.fft import and cached kernel tables).  A frozen object still
+    # dies when its last reference goes: `classical` (numpy.random's first import) frees
+    # a few, so it is not the second command here
+    model = {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0}
+    cfgs = [
+        {"command": "evolve", "output_prefix": str(tmp_path / "ev"),
+         "model": dict(model, hbar="2pi*1/3"), "n_steps": 20},
+        {"command": "fractal", "output_prefix": str(tmp_path / "fr"),
+         "model": dict(model, hbar="2pi*2/7"), "theta_count": 16},
+    ]
+    configs = [write_config(tmp_path, f"c{i}.json", c) for i, c in enumerate(cfgs)]
+    code = ("import gc, json, kickedharper.cli\n"
+            "codes, counts = [], []\n"
+            f"for c in {configs!r}:\n"
+            "    codes.append(kickedharper.cli.main([c]))\n"
+            "    counts.append(gc.get_freeze_count())\n"
+            "print(json.dumps([codes, gc.isenabled(), counts]))\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    codes, enabled, (first, second) = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0] and enabled is True
+    assert first > 0 and second == first, (first, second)
 
 
 # ── fractal ────────────────────────────────────────────────────────────────

@@ -200,13 +200,17 @@ def _kernel_tables(model: ModelSpec, l_min: int, n: int) -> tuple:
                  for x, fs in _period_steps(model))
 
 
-def _apply_period(steps, src: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
+def _apply_period(steps, src: np.ndarray, dst: np.ndarray | None = None,
+                  scale: float | None = None) -> np.ndarray:
     """Apply (kick table, diagonal tables) steps along the last axis of a state or stack
-    into dst (new when None; may be src) and return it; another dst keeps src for a retry."""
+    into dst (new when None; may be src) and return it; another dst keeps src for a retry.
+    scale is the inverse FFT's; None is np.fft.ifft's 1/n.  evolve passes 1.0 with its
+    kick tables times 1/n: on 2^k sites both products are exact, so the bits are equal."""
     dst = np.empty(src.shape, dtype=np.complex128) if dst is None else dst
-    ufuncs = np.fft._pocketfft_umath   # what np.fft.ifft/fft call, at the same scales
+    ufuncs = np.fft._pocketfft_umath   # what np.fft.ifft/fft call
+    scale = 1.0 / src.shape[-1] if scale is None else scale
     for kick, tables in steps:
-        ufuncs.ifft(src, 1.0 / src.shape[-1], out=dst)
+        ufuncs.ifft(src, scale, out=dst)
         np.multiply(dst, kick, out=dst)
         ufuncs.fft(dst, 1.0, out=dst)
         for table in tables:
@@ -282,8 +286,9 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
 
     def lattice(l_min, n):  # kernel steps, edge margin, weights (l - l0)^2, |amp|^2 buffer
         offsets = np.arange(l_min, l_min + n, dtype=np.int64).astype(np.float64) - float(l0)
-        return (_kernel_tables(model, l_min, n), trigger_margin(model, n), offsets * offsets,
-                np.empty(n))
+        kernel = tuple((kick * (1.0 / n), fs)  # the ifft's 1/n: the kernel runs at scale 1
+                       for kick, fs in _kernel_tables(model, l_min, n))
+        return kernel, trigger_margin(model, n), offsets * offsets, np.empty(n)
     l_min, src, dst = psi0.l_min, psi0.amps.copy(), None  # the kernel allocates dst
     tables, margin, weights, prob = lattice(l_min, src.size)
     hbar2 = psi0.hbar_eff.value ** 2
@@ -300,7 +305,7 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
     record(0, measure(src))
     for t in range(1, n_steps + 1):
         while True:  # src is intact until the step is accepted
-            out = _apply_period(tables, src, dst)
+            out = _apply_period(tables, src, dst, 1.0)
             mass = measure(out)
             if mass <= DEFAULT_LEAK_THRESHOLD:
                 break

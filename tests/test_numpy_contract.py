@@ -3,7 +3,8 @@
 classical.orbit steps the trajectory with math.sin and %, and
 tests/golden/classical_trajectory.csv holds the bits of np.sin and np.mod, so a
 platform whose numpy sine differs from libm fails here instead of only in the
-golden file.  quantum._apply_period calls numpy's private pocketfft ufuncs, and
+golden file.  quantum._apply_period calls numpy's private pocketfft ufuncs (evolve at
+scale 1, its kick tables carrying the 1/n), and
 spectrum._cayley_phases the private linalg gufuncs, complex (inv, eigvalsh_lo) and
 real (solve, eigvalsh_lo); a numpy release without them, or with another scale,
 fails here instead of deep inside the other tests.
@@ -34,6 +35,21 @@ def test_pocketfft_ifft_ufunc_matches_np_fft_ifft():
     out = np.empty(8, dtype=np.complex128)
     np.fft._pocketfft_umath.ifft(x, 1 / 8, out=out)
     assert np.array_equal(out, np.fft.ifft(x)), "pocketfft ifft ufunc differs from np.fft.ifft"
+
+
+def test_unscaled_ifft_times_a_kick_over_n_equals_the_scaled_ifft_times_the_kick():
+    # evolve moves the inverse FFT's 1/n into its kick tables, and the CLI's evolve
+    # lattices have 256 * 2^k sites; the two products must then round alike
+    rng = np.random.default_rng(0)
+
+    def ifft(x, scale):
+        return np.fft._pocketfft_umath.ifft(x, scale, out=np.empty_like(x))
+
+    for n in (256, 8192):
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        kick = np.exp(-1j * 3.9 * np.cos(2 * np.pi * np.arange(n) / n))
+        assert np.array_equal(ifft(x, 1.0) * (kick * (1.0 / n)), ifft(x, 1.0 / n) * kick), (
+            f"ifft scale 1 with the kick times 1/n differs from ifft scale 1/n at n = {n}")
 
 
 def test_linalg_inv_and_eigvalsh_lo_gufuncs_match_np_linalg():

@@ -375,6 +375,9 @@ def test_period_kernel_fills_its_buffer_and_keeps_its_source():
         assert quantum._apply_period(steps, src, dst) is dst
         assert np.array_equal(src, src0)
         assert np.array_equal(dst, out_of_place_period(steps, src))
+        if n & (n - 1) == 0:   # evolve's form: kicks times 1/n, inverse FFT unscaled
+            scaled = [(kick * (1.0 / n), tables) for kick, tables in steps]
+            assert np.array_equal(quantum._apply_period(scaled, src, None, 1.0), dst)
     # a Bloch stack steps a broadcast identity: one kick table per angle
     b, p = 9, 233
     steps = [(np.exp(-1j * rng.normal(size=(b, 1, p))), [np.exp(-1j * rng.normal(size=p))]),
@@ -394,8 +397,8 @@ def test_evolve_fails_loudly_on_nan_amplitudes(monkeypatch):
     real = quantum._apply_period
     for sites, n_steps, message in ((slice(None), 5, "edge mass is NaN at step 1"),
                                     (slice(128, 129), 1, "norm drifted to nan")):
-        def poisoned(steps, src, dst=None, sites=sites):
-            out = real(steps, src, dst)
+        def poisoned(*args, sites=sites):
+            out = real(*args)
             out[sites] = np.nan
             return out
 
@@ -419,6 +422,7 @@ def stepped_evolve(model, psi, n_steps, record_every):
     l0 = int(psi.l_min + np.argmax(np.abs(psi.amps)))
     steps, variance = [0], [momentum_variance(psi, l0)]
     leak = [edge_mass(psi, trigger_margin(model, psi.n_sites))]
+    growth = []
     for t in range(1, n_steps + 1):
         while True:
             try:
@@ -426,12 +430,13 @@ def stepped_evolve(model, psi, n_steps, record_every):
                 break
             except LatticeOverflowError:
                 psi = psi.doubled()
+                growth.append((t, psi.n_sites))
         psi = nxt
         if t % record_every == 0:
             steps.append(t)
             variance.append(momentum_variance(psi, l0))
             leak.append(edge_mass(psi, trigger_margin(model, psi.n_sites)))
-    return np.array(steps), np.array(variance), np.array(leak), psi.n_sites
+    return np.array(steps), np.array(variance), np.array(leak), psi.n_sites, tuple(growth)
 
 
 def test_evolve_matches_manual_floquet_loop():
@@ -458,16 +463,20 @@ def test_evolve_matches_manual_floquet_loop():
         (ModelSpec(DKRM_GENERAL, 2.0, 1.5, EffPlanck(1.3), (1, 2)),
          Wavepacket.delta(l0=3, n_sites=256, hbar_eff=EffPlanck(1.3)), 200, 1),
         (ModelSpec(DKRM_RESONANT, 1.2, 0.9, hb_rational), spread, 40, 1),
+        # the model of the benchmark's evolve_localized run
+        (ModelSpec(DKRM_RESONANT, 1.8, 1.8, hb_rational),
+         Wavepacket.delta(l0=0, n_sites=256, hbar_eff=hb_rational), 500, 1),
     ]
     for model, psi, n_steps, record_every in runs:
         n_sites, amps0 = psi.n_sites, psi.amps.copy()
         series = evolve(model, psi, n_steps, record_every)
         assert np.array_equal(psi.amps, amps0)
-        steps, variance, leak, final_sites = stepped_evolve(
+        steps, variance, leak, final_sites, growth = stepped_evolve(
             model, psi, n_steps, record_every)
         assert np.array_equal(series.steps, steps)
         assert np.array_equal(series.variance, variance)
         assert np.array_equal(series.leak, leak)
+        assert series.growth == growth
         assert [n for _, n in series.growth] == [
             n_sites << k for k in range(1, len(series.growth) + 1)]
         assert (series.growth[-1][1] if series.growth else n_sites) == final_sites
@@ -483,6 +492,22 @@ def test_evolve_matches_manual_floquet_loop():
     assert first == next(t for t, n in evolve(growing, psi, 150).growth if n > budget)
     with pytest.raises(ResourceLimitError, match=f"at step {first}$"):
         evolve(growing, psi, 150, max_sites=budget)
+
+
+def test_evolve_follows_the_stepped_loop_on_a_lattice_that_is_not_a_power_of_two():
+    # evolve runs its inverse FFTs unscaled with kick tables times 1/n, which has the
+    # bits of the ifft's own 1/n only on 2^k sites; off them the two round apart.  The
+    # edge mass is a sum of squares of amplitudes whose rounding scales with the norm
+    # (1), not with the mass (<= 1e-10), so it is compared with an absolute bound
+    hb = EffPlanck(1.0)
+    model = ModelSpec(DKRM_RESONANT, 4.0, 0.4, hb)
+    psi = Wavepacket.delta(l0=0, n_sites=96, hbar_eff=hb)
+    series = evolve(model, psi, 600)
+    steps, variance, leak, final_sites, growth = stepped_evolve(model, psi, 600, 1)
+    assert series.growth == growth and final_sites == 6144
+    assert np.array_equal(series.steps, steps)
+    np.testing.assert_allclose(series.variance, variance, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(series.leak, leak, rtol=0, atol=1e-18)
 
 
 def test_evolve_is_deterministic():

@@ -15,6 +15,7 @@ DIFFUSIVE = "diffusive"
 BALLISTIC = "ballistic"
 
 DEFAULT_BOX_SCALES = tuple(2 ** k for k in range(4, 13))
+MAX_BOX_SCALE = 2 ** 53   # beyond it, frac * s in float64 no longer resolves one box
 MIN_BOX_POINTS = 100
 
 
@@ -111,17 +112,17 @@ def box_counting_dimension(points, scales=DEFAULT_BOX_SCALES) -> BoxCountResult:
     if len(scales) < 4:
         raise ValueError("need >= 4 scales")
     scales = [int(s) for s in scales]
-    if min(scales) < 1:
-        raise ValueError("scales must be positive box counts")
-    frac = np.mod(pts + np.pi, TWO_PI) / TWO_PI
-    ordered = np.sort(pts)   # counts from sorts and bincounts: np.unique loads numpy.ma
+    if min(scales) < 1 or max(scales) > MAX_BOX_SCALE or len(set(scales)) < len(scales):
+        raise ValueError("scales must be distinct box counts in [1, 2**53]")
+    frac = np.sort(np.mod(pts + np.pi, TWO_PI) / TWO_PI)   # so box indices ascend
+    ordered = np.sort(pts)   # counts from sorts: np.unique loads numpy.ma
     n_distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     if n_distinct == 1:
         return BoxCountResult(0.0, 0.0, tuple(scales), (1,) * len(scales))
     counts = []
     for s in scales:
         idx = np.minimum(np.floor(frac * s).astype(np.int64), s - 1)
-        counts.append(int(np.count_nonzero(np.bincount(idx, minlength=s))))
+        counts.append(1 + int(np.count_nonzero(np.diff(idx))))   # occupied boxes
     kept = [(s, c) for s, c in zip(scales, counts) if c < s and c < n_distinct]
     if len(kept) < 2:
         kept = list(zip(scales, counts))

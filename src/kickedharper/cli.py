@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import (DEFAULT_BOX_SCALES, LOCALIZED, MIN_BOX_POINTS,
+from .analysis import (DEFAULT_BOX_SCALES, LOCALIZED, MAX_BOX_SCALE, MIN_BOX_POINTS,
                        box_counting_dimension, classify_transport, fit_power_law)
 from .classical import PhasePoint, conjugacy_defects, orbit
 from .errors import ConfigError, NumericalError, ResourceLimitError
@@ -56,8 +56,9 @@ _SEED = (lambda v: _is_int(v, 0), "an integer >= 0")
 _FIT_WINDOW = (lambda v: isinstance(v, list) and len(v) == 2
                and all(map(_is_real, v)) and 0 < v[0] < v[1],
                "[t_lo, t_hi] with 0 < t_lo < t_hi")
-_SCALES = (lambda v: isinstance(v, list) and len(v) >= 4 and all(map(_is_int, v)),
-           "a list of >= 4 positive integer box counts")
+_SCALES = (lambda v: isinstance(v, list) and len(v) >= 4
+           and all(_is_int(s) and s <= MAX_BOX_SCALE for s in v) and len(set(v)) == len(v),
+           "a list of >= 4 distinct integer box counts in [1, 2**53]")
 _TOLERANCE = (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)")
 _REAL = (_is_real, "a number")
 _RESONANCE = (lambda v: v is None or isinstance(v, list) and len(v) == 2

@@ -64,13 +64,13 @@ def theta_grid(count: int) -> np.ndarray:
 def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> np.ndarray:
     """(P, P) Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l,
     P = lattice_period(model).  coeffs is ignored; some callers still pass it."""
-    return _bloch_stack([_period_steps(model)], np.zeros(1, dtype=np.intp),
-                        np.array([float(theta)]), lattice_period(model))[0]
+    return _bloch_stack([_period_steps(model)], np.array([float(theta)]),
+                        lattice_period(model))[0]
 
 
-def _bloch_stack(steps: list, owner: np.ndarray, phis: np.ndarray, period: int) -> np.ndarray:
+def _bloch_stack(steps: list, phis: np.ndarray, period: int) -> np.ndarray:
     """(B, P, P) blocks on P sites: block b is the Floquet operator of the steps
-    steps[owner[b]] at angle phis[b]; every steps list has the same length.
+    steps[b] at angle phis[b]; every steps list has the same length.
 
     Kicks act on the grid q_k = (2*pi*k + phi)/P of the running angle phi.  The jumps
     s = +-1 over P of a step's diagonal factors (P must be lattice_period or, at fold
@@ -79,13 +79,13 @@ def _bloch_stack(steps: list, owner: np.ndarray, phis: np.ndarray, period: int) 
     sites = np.arange(period)
     angle = phis[:, None, None]
     kernel = []
-    for step in zip(*steps):   # this step of every steps list, as (B, 1, P) tables
-        x, arg = np.array([(x, sum(np.angle(f.jump(period)) for f in fs)) for x, fs in step]).T
+    for step in zip(*steps):   # this step of every block, as (B, 1, P) tables
+        x, arg = np.array([(x, sum(math.atan2(0, f.jump(period)) for f in fs)) for x, fs in step]).T
         table = np.array([_diagonal_table(fs, 0, period) for _, fs in step])
         table *= np.exp(-1j * arg[:, None] * sites / period)
-        kick = np.exp(-1j * x[owner, None, None] * np.cos((TWO_PI * sites + angle) / period))
-        kernel.append((kick, (table[owner, None],)))
-        angle = angle - arg[owner, None, None]
+        kick = np.exp(-1j * x[:, None, None] * np.cos((TWO_PI * sites + angle) / period))
+        kernel.append((kick, (table[:, None],)))
+        angle = angle - arg[:, None, None]
     # rows: basis images; the first kick's, fft(ifft(e_l) kick), are fft(kick)/P shifted by l
     (kick, (table,)), *rest = kernel
     u = np.fft.fft(kick, norm="forward")[:, 0, (sites - sites[:, None]) % period]
@@ -217,18 +217,16 @@ def _bloch_spectra(models: list, theta_count: int, workers: int = 1) -> list:
     shapes = [_period_and_fold(m, s) for m, s in zip(models, steps)]
     spans = [theta_count * (1 if fold == 2 and full // 2 % 2 and len({x for x, _ in s}) == 1
                             else fold) for s, (full, fold) in zip(steps, shapes)]
-    groups, stacks = {}, []   # (half period, step count): models; (steps, owner, phis, P)
+    groups, stacks = {}, []   # (half period, step count): models; (steps, phis, P)
     for i, (full, fold) in enumerate(shapes):
         groups.setdefault((full // fold, len(steps[i])), []).append(i)
     for (period, _), members in groups.items():
         grids = [theta_grid(shapes[i][1] * theta_count)[:spans[i] // 2 + 1] for i in members]
-        owner = np.repeat(np.arange(len(members)), [g.size for g in grids])
+        blocks = [steps[i] for i, grid in zip(members, grids) for _ in grid]
         phis = np.concatenate(grids)
         chunk = max(1, STACK_ENTRIES // period ** 2)
-        for c in range(0, owner.size, chunk):   # the members part[0]..part[-1]
-            part = owner[c:c + chunk]
-            stacks.append(([steps[i] for i in members[part[0]:part[-1] + 1]], part - part[0],
-                           phis[c:c + chunk], period))
+        for c in range(0, len(blocks), chunk):
+            stacks.append((blocks[c:c + chunk], phis[c:c + chunk], period))
     workers = min(workers, len(stacks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent import futures   # here, so a serial run never imports logging
@@ -250,12 +248,12 @@ def _solve_stack(stack: tuple) -> np.ndarray:
     """One stack of _bloch_spectra; the solver is chosen here.  One-step (khm) blocks are
     made complex symmetric in place, for the real solve (README, "Time reversal")."""
     u = _bloch_stack(*stack)
-    steps, owner, phis, period = stack
+    steps, phis, period = stack
     if len(steps[0]) > 1:
         return _stack_phases(u)
     sites, n = np.arange(period), (period - 1) // 2
     mirror = np.minimum(sites, period - sites)
-    h = np.sqrt([_diagonal_table(fs, 0, period)[mirror] for ((_, fs),) in steps])[owner]
+    h = np.sqrt([_diagonal_table(fs, 0, period)[mirror] for ((_, fs),) in steps])
     a = np.exp(1j * phis[:, None] * sites / period) / h
     pair = np.where(2 * sites % period, math.sqrt(0.5), 1.0)   # so the pair basis is orthonormal
     u *= (pair / a)[:, None, :]

@@ -1,6 +1,7 @@
 """Power-law fits, transport labels, box counting, spectral distance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kickedharper import (
     model_from_ratios,
     spectrum_set_distance,
 )
+from kickedharper.analysis import DEFAULT_BOX_SCALES
 
 def series_from(steps, variance):
     steps = np.asarray(steps, dtype=np.int64)
@@ -157,6 +159,33 @@ def test_box_counting_input_validation():
         box_counting_dimension(np.linspace(0, 1, 200), scales=(4, 8))
     with pytest.raises(ValueError):
         box_counting_dimension(np.linspace(0, 1, 200), scales=(0, 2, 4, 8))
+    with pytest.raises(ValueError, match="distinct"):   # a rank-deficient fit otherwise
+        box_counting_dimension(cantor_points(), scales=(16, 16, 32, 32))
+    with pytest.raises(ValueError, match="distinct"):
+        box_counting_dimension(cantor_points(), scales=(16, 32, 64, 2 ** 53 + 1))
+
+
+def test_box_counts_equal_one_bincount_per_scale():
+    """The counts from sorted box indices against a histogram of every box."""
+    spectrum = aggregated_energies(model_from_ratios(DKRM_RESONANT, 1.0, 1.0, 5, 13), 16)
+    for pts in [cantor_points(), spectrum, np.concatenate([spectrum, [-np.pi, np.pi]])]:
+        frac = np.mod(pts + np.pi, 2 * np.pi) / (2 * np.pi)
+        expected = tuple(int(np.count_nonzero(np.bincount(
+            np.minimum(np.floor(frac * s).astype(np.int64), s - 1), minlength=s)))
+            for s in DEFAULT_BOX_SCALES)
+        assert box_counting_dimension(pts).counts == expected
+
+
+def test_box_counting_memory_does_not_grow_with_the_scale():
+    pts = cantor_points(7)   # 128 points
+    tracemalloc.start()
+    try:
+        res = box_counting_dimension(pts, scales=(16, 32, 64, 2 ** 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.counts[-1] <= np.unique(pts).size
+    assert peak < 2 ** 20
 
 
 # ── spectral multiset distance ─────────────────────────────────────────────

@@ -484,6 +484,12 @@ def test_config_validation_failures_exit_two(tmp_path):
          "model": {"kind": "khm", "k1": 1e300, "k2": 1.0, "hbar": 1e-10}},
         {"command": "check-symmetries", "output_prefix": str(new / "x"),  # no rational
          "model": {"kind": "khm", "k1": 1.0, "k2": 1.0}, "s_max": 1},      # in (0, 1)
+        {"command": "fractal", "output_prefix": str(new / "x"), "theta_count": 16,
+         "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": "2pi*5/13"},
+         "scales": [64, 64, 64, 64]},                           # a rank-deficient fit
+        {"command": "fractal", "output_prefix": str(new / "x"), "theta_count": 16,
+         "model": {"kind": "khm", "k1": 1.0, "k2": 1.0, "hbar": "2pi*5/13"},
+         "scales": [16, 32, 64, 2 ** 53 + 1]},                  # finer than float64 resolves
     ]
     for i, cfg in enumerate(bad):
         assert main([write_config(tmp_path, f"bad{i}.json", cfg)]) == 2, cfg

@@ -283,9 +283,8 @@ def cayley_paths(monkeypatch):
 
 def khm_stack(models, thetas):
     """A _bloch_spectra stack of one-step blocks: block b is models[b % M] at thetas[b]."""
-    owner = np.arange(len(thetas)) % len(models)
-    return ([quantum._period_steps(m) for m in models], owner,
-            np.asarray(thetas, dtype=np.float64), lattice_period(models[0]))
+    steps = [quantum._period_steps(models[b % len(models)]) for b in range(len(thetas))]
+    return steps, np.asarray(thetas, dtype=np.float64), lattice_period(models[0])
 
 
 def assert_real_solve_matches_the_complex_one_and_eigvals(models, thetas):
@@ -631,9 +630,9 @@ def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
     stacked = []
     stack = spectrum._bloch_stack
 
-    def spy(steps, owner, phis, period):
+    def spy(steps, phis, period):
         stacked.append(phis)
-        return stack(steps, owner, phis, period)
+        return stack(steps, phis, period)
 
     monkeypatch.setattr(spectrum, "_bloch_stack", spy)
     fib = parse_effective_planck("2pi*89/233")
@@ -668,13 +667,14 @@ def test_mirrored_solve_equals_the_full_theta_grid(monkeypatch, no_fallback):
 def test_one_stack_of_many_models_equals_their_own_stacks(monkeypatch, no_fallback):
     """_bloch_spectra stacks the blocks of all its models by half period; a block's
     spectrum must not depend on its stack mates.  The sweep mixes kinds, fold-2
-    blocks and odd T, and the kick-swap partners put two kick profiles in one stack."""
+    blocks and odd T, and the kick-swap partners put two kick profiles in one stack;
+    a direct _bloch_stack call alternates them block by block."""
     mixed = []
     stack = spectrum._bloch_stack
 
-    def spy(steps, owner, phis, period):
+    def spy(steps, phis, period):
         mixed.append(len({tuple(x for x, _ in s) for s in steps}) > 1)
-        return stack(steps, owner, phis, period)
+        return stack(steps, phis, period)
 
     swapped = [model_from_ratios(DKRM_RESONANT, *ratios, num, den)
                for num, den in [(1, 3), (2, 3), (1, 4), (3, 5)]
@@ -688,6 +688,15 @@ def test_one_stack_of_many_models_equals_their_own_stacks(monkeypatch, no_fallba
             assert any(mixed) and folds == {1, 2}
             for model, eps in zip(models, together):
                 assert np.array_equal(eps, spectrum._bloch_spectra([model], count)[0]), model
+    phis = theta_grid(6)
+    for pair, fold in [(swapped[2:4], 1), (swapped[0:2], 2)]:   # 2/3 and 1/3
+        assert [fold_of(m) for m in pair] == [fold, fold]
+        steps = [quantum._period_steps(m) for m in pair]
+        period = lattice_period(pair[0]) // fold
+        alternating = stack([steps[b % 2] for b in range(phis.size)], phis, period)
+        for j, model in enumerate(pair):
+            own = stack([steps[j]] * phis[j::2].size, phis[j::2], period)
+            assert np.array_equal(alternating[j::2], own), model
 
 
 def test_symmetry_claims_solve_every_partner_from_its_own_blocks(monkeypatch):

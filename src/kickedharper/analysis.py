@@ -111,6 +111,8 @@ def box_counting_dimension(points, scales=DEFAULT_BOX_SCALES) -> BoxCountResult:
         raise ValueError(f"need a flat array of >= {MIN_BOX_POINTS} points")
     if len(scales) < 4:
         raise ValueError("need >= 4 scales")
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in scales):
+        raise ValueError("scales must be integers")   # int() would truncate 16.9 to 16
     scales = [int(s) for s in scales]
     if min(scales) < 1 or max(scales) > MAX_BOX_SCALE or len(set(scales)) < len(scales):
         raise ValueError("scales must be distinct box counts in [1, 2**53]")

@@ -43,7 +43,7 @@ class KickCoefficients:
 @lru_cache(maxsize=64)
 def _kick_coefficients_cached(x: float):
     n_grid = 1 << max(9, math.ceil(math.log2(8 * (math.ceil(x) + 64))))
-    c = np.fft.fft(_kick_table(x, n_grid)) / n_grid
+    c = np.fft.fft(_kick_table(x, n_grid))
     cutoff = int(np.flatnonzero(np.abs(c[: n_grid // 2 + 1]) >= COEFF_TOL).max(initial=0))
     if cutoff >= n_grid // 2:
         raise NumericalError("kick coefficient tail reaches the sampling grid edge")
@@ -127,9 +127,9 @@ class HarperPhase:
     def values(self, l) -> np.ndarray:
         l = np.asarray(l, dtype=np.int64)
         rp = self.planck.rational_part
-        if rp is not None:   # the kick table on den sites, read at q = hbar * l
+        if rp is not None:   # the kick on den sites, read at q = hbar * l
             idx = (rp.num % rp.den) * (l % rp.den) % rp.den
-            return _kick_table(self.strength, rp.den)[idx]
+            return np.exp(-1j * self.strength * np.cos(TWO_PI * np.arange(rp.den) / rp.den))[idx]
         return np.exp(-1j * self.strength * np.cos(self.planck.value * l.astype(np.float64)))
 
 
@@ -163,8 +163,9 @@ def floquet_factors(model: ModelSpec) -> tuple:
 
 @lru_cache(maxsize=8)
 def _kick_table(strength: float, n: int) -> np.ndarray:
-    """e^{-i strength cos q_k}, q_k = 2*pi*k/n; read-only, as it is shared."""
-    table = np.exp(-1j * strength * np.cos(TWO_PI * np.arange(n) / n))
+    """e^{-i strength cos q_k}/n, q_k = 2*pi*k/n: the kick with the inverse FFT's 1/n, as
+    _apply_period takes it; read-only, as it is shared."""
+    table = np.exp(-1j * strength * np.cos(TWO_PI * np.arange(n) / n)) / n
     table.flags.writeable = False
     return table
 
@@ -200,17 +201,14 @@ def _kernel_tables(model: ModelSpec, l_min: int, n: int) -> tuple:
                  for x, fs in _period_steps(model))
 
 
-def _apply_period(steps, src: np.ndarray, dst: np.ndarray | None = None,
-                  scale: float | None = None) -> np.ndarray:
+def _apply_period(steps, src: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
     """Apply (kick table, diagonal tables) steps along the last axis of a state or stack
     into dst (new when None; may be src) and return it; another dst keeps src for a retry.
-    scale is the inverse FFT's; None is np.fft.ifft's 1/n.  evolve passes 1.0 with its
-    kick tables times 1/n: on 2^k sites both products are exact, so the bits are equal."""
+    Both FFTs run unscaled: the kick tables carry the inverse FFT's 1/n (_kick_table)."""
     dst = np.empty(src.shape, dtype=np.complex128) if dst is None else dst
     ufuncs = np.fft._pocketfft_umath   # what np.fft.ifft/fft call
-    scale = 1.0 / src.shape[-1] if scale is None else scale
     for kick, tables in steps:
-        ufuncs.ifft(src, scale, out=dst)
+        ufuncs.ifft(src, 1.0, out=dst)
         np.multiply(dst, kick, out=dst)
         ufuncs.fft(dst, 1.0, out=dst)
         for table in tables:
@@ -286,9 +284,8 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
 
     def lattice(l_min, n):  # kernel steps, edge margin, weights (l - l0)^2, |amp|^2 buffer
         offsets = np.arange(l_min, l_min + n, dtype=np.int64).astype(np.float64) - float(l0)
-        kernel = tuple((kick * (1.0 / n), fs)  # the ifft's 1/n: the kernel runs at scale 1
-                       for kick, fs in _kernel_tables(model, l_min, n))
-        return kernel, trigger_margin(model, n), offsets * offsets, np.empty(n)
+        return (_kernel_tables(model, l_min, n), trigger_margin(model, n), offsets * offsets,
+                np.empty(n))
     l_min, src, dst = psi0.l_min, psi0.amps.copy(), None  # the kernel allocates dst
     tables, margin, weights, prob = lattice(l_min, src.size)
     hbar2 = psi0.hbar_eff.value ** 2
@@ -305,7 +302,7 @@ def evolve(model: ModelSpec, psi0: Wavepacket, n_steps: int, record_every: int =
     record(0, measure(src))
     for t in range(1, n_steps + 1):
         while True:  # src is intact until the step is accepted
-            out = _apply_period(tables, src, dst, 1.0)
+            out = _apply_period(tables, src, dst)
             mass = measure(out)
             if mass <= DEFAULT_LEAK_THRESHOLD:
                 break

@@ -83,12 +83,12 @@ def _bloch_stack(steps: list, phis: np.ndarray, period: int) -> np.ndarray:
         x, arg = np.array([(x, sum(math.atan2(0, f.jump(period)) for f in fs)) for x, fs in step]).T
         table = np.array([_diagonal_table(fs, 0, period) for _, fs in step])
         table *= np.exp(-1j * arg[:, None] * sites / period)
-        kick = np.exp(-1j * x[:, None, None] * np.cos((TWO_PI * sites + angle) / period))
+        kick = np.exp(-1j * x[:, None, None] * np.cos((TWO_PI * sites + angle) / period)) / period
         kernel.append((kick, (table[:, None],)))
         angle = angle - arg[:, None, None]
-    # rows: basis images; the first kick's, fft(ifft(e_l) kick), are fft(kick)/P shifted by l
+    # rows: basis images; the first kick's, fft(ifft(e_l) kick) unscaled, are fft(kick) shifted by l
     (kick, (table,)), *rest = kernel
-    u = np.fft.fft(kick, norm="forward")[:, 0, (sites - sites[:, None]) % period]
+    u = np.fft.fft(kick)[:, 0, (sites - sites[:, None]) % period]
     u *= table
     u = _apply_period(rest, u, u).swapaxes(1, 2)
     u = u * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)

@@ -163,6 +163,11 @@ def test_box_counting_input_validation():
         box_counting_dimension(cantor_points(), scales=(16, 16, 32, 32))
     with pytest.raises(ValueError, match="distinct"):
         box_counting_dimension(cantor_points(), scales=(16, 32, 64, 2 ** 53 + 1))
+    for scales in ([16.9, 32, 64, 128], [16.0, 32, 64, 128], [True, 32, 64, 128]):
+        with pytest.raises(ValueError, match="integers"):   # not truncated to 16 or read as 1
+            box_counting_dimension(cantor_points(), scales=scales)
+    ints = box_counting_dimension(cantor_points(), scales=(16, 32, 64, 128))
+    assert box_counting_dimension(cantor_points(), scales=np.array([16, 32, 64, 128])) == ints
 
 
 def test_box_counts_equal_one_bincount_per_scale():

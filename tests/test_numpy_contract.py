@@ -3,8 +3,8 @@
 classical.orbit steps the trajectory with math.sin and %, and
 tests/golden/classical_trajectory.csv holds the bits of np.sin and np.mod, so a
 platform whose numpy sine differs from libm fails here instead of only in the
-golden file.  quantum._apply_period calls numpy's private pocketfft ufuncs (evolve at
-scale 1, its kick tables carrying the 1/n), and
+golden file.  quantum._apply_period calls numpy's private pocketfft ufuncs at scale 1
+(the kick tables carry the inverse FFT's 1/n), and
 spectrum._cayley_phases the private linalg gufuncs, complex (inv, eigvalsh_lo) and
 real (solve, eigvalsh_lo); a numpy release without them, or with another scale,
 fails here instead of deep inside the other tests.
@@ -33,13 +33,15 @@ def test_pocketfft_ifft_ufunc_matches_np_fft_ifft():
     rng = np.random.default_rng(0)
     x = rng.normal(size=8) + 1j * rng.normal(size=8)
     out = np.empty(8, dtype=np.complex128)
-    np.fft._pocketfft_umath.ifft(x, 1 / 8, out=out)
-    assert np.array_equal(out, np.fft.ifft(x)), "pocketfft ifft ufunc differs from np.fft.ifft"
+    np.fft._pocketfft_umath.ifft(x, 1.0, out=out)
+    assert np.array_equal(out, np.fft.ifft(x, norm="forward")), (
+        "pocketfft ifft ufunc at scale 1 differs from np.fft.ifft(norm='forward')")
 
 
 def test_unscaled_ifft_times_a_kick_over_n_equals_the_scaled_ifft_times_the_kick():
-    # evolve moves the inverse FFT's 1/n into its kick tables, and the CLI's evolve
-    # lattices have 256 * 2^k sites; the two products must then round alike
+    # every kernel caller takes the inverse FFT's 1/n from its kick tables, and the CLI's
+    # evolve lattices have 256 * 2^k sites; there the products must round as the scaled
+    # inverse FFT's, which tests/golden/evolve* holds
     rng = np.random.default_rng(0)
 
     def ifft(x, scale):

@@ -357,7 +357,7 @@ def test_kick_swap_is_the_transpose_conjugated_by_the_closing_drift(kind, resona
 def out_of_place_period(steps, amps):
     """The period kernel as a product of new arrays, one per FFT and table."""
     for kick, tables in steps:
-        amps = np.fft.fft(np.fft.ifft(amps) * kick)
+        amps = np.fft.fft(np.fft.ifft(amps, norm="forward") * kick)
         for table in tables:
             amps = amps * table
     return amps
@@ -366,8 +366,8 @@ def out_of_place_period(steps, amps):
 def test_period_kernel_fills_its_buffer_and_keeps_its_source():
     rng = np.random.default_rng(11)
     model = ModelSpec(DKRM_RESONANT, 3.9, 3.9, EffPlanck(1.0))
-    # the kernel calls numpy's FFT ufuncs with the inverse scale 1/n itself, so sizes
-    # that are not powers of two pin that scale against np.fft in the oracle
+    # the kernel calls numpy's FFT ufuncs at scale 1 itself, with the 1/n in the kick
+    # tables; sizes that are not powers of two pin that scale against np.fft's
     for n in (19, 46, 233, 256, 466, 8192):
         steps = quantum._kernel_tables(model, -n // 2, n)
         src = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -375,9 +375,6 @@ def test_period_kernel_fills_its_buffer_and_keeps_its_source():
         assert quantum._apply_period(steps, src, dst) is dst
         assert np.array_equal(src, src0)
         assert np.array_equal(dst, out_of_place_period(steps, src))
-        if n & (n - 1) == 0:   # evolve's form: kicks times 1/n, inverse FFT unscaled
-            scaled = [(kick * (1.0 / n), tables) for kick, tables in steps]
-            assert np.array_equal(quantum._apply_period(scaled, src, None, 1.0), dst)
     # a Bloch stack steps a broadcast identity: one kick table per angle
     b, p = 9, 233
     steps = [(np.exp(-1j * rng.normal(size=(b, 1, p))), [np.exp(-1j * rng.normal(size=p))]),
@@ -495,10 +492,8 @@ def test_evolve_matches_manual_floquet_loop():
 
 
 def test_evolve_follows_the_stepped_loop_on_a_lattice_that_is_not_a_power_of_two():
-    # evolve runs its inverse FFTs unscaled with kick tables times 1/n, which has the
-    # bits of the ifft's own 1/n only on 2^k sites; off them the two round apart.  The
-    # edge mass is a sum of squares of amplitudes whose rounding scales with the norm
-    # (1), not with the mass (<= 1e-10), so it is compared with an absolute bound
+    # evolve runs its transforms at scale 1 with the 1/n in the kick tables, the form
+    # that apply_floquet runs too, so on 96 * 2^k sites the two agree bit for bit
     hb = EffPlanck(1.0)
     model = ModelSpec(DKRM_RESONANT, 4.0, 0.4, hb)
     psi = Wavepacket.delta(l0=0, n_sites=96, hbar_eff=hb)
@@ -506,8 +501,8 @@ def test_evolve_follows_the_stepped_loop_on_a_lattice_that_is_not_a_power_of_two
     steps, variance, leak, final_sites, growth = stepped_evolve(model, psi, 600, 1)
     assert series.growth == growth and final_sites == 6144
     assert np.array_equal(series.steps, steps)
-    np.testing.assert_allclose(series.variance, variance, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(series.leak, leak, rtol=0, atol=1e-18)
+    assert np.array_equal(series.variance, variance)
+    assert np.array_equal(series.leak, leak)
 
 
 def test_evolve_is_deterministic():

@@ -107,8 +107,8 @@ def box_counting_dimension(points, scales=DEFAULT_BOX_SCALES) -> BoxCountResult:
     uniform (slope 1) and single-point (slope 0) limits exact.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 1 or pts.size < MIN_BOX_POINTS:
-        raise ValueError(f"need a flat array of >= {MIN_BOX_POINTS} points")
+    if pts.ndim != 1 or pts.size < MIN_BOX_POINTS or not np.all(np.isfinite(pts)):
+        raise ValueError(f"need a flat array of >= {MIN_BOX_POINTS} finite points")
     if len(scales) < 4:
         raise ValueError("need >= 4 scales")
     if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in scales):

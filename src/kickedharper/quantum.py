@@ -262,7 +262,7 @@ class DiffusionSeries:
             raise ValueError("series arrays must have equal length")
         if np.any(np.diff(self.steps) <= 0):
             raise ValueError("steps must be strictly increasing")
-        if np.any(self.variance < 0):
+        if not np.all(self.variance >= 0):   # a NaN fails too
             raise ValueError("variance must be >= 0")
 
 

@@ -63,9 +63,10 @@ def theta_grid(count: int) -> np.ndarray:
 
 def build_bloch_matrix(model: ModelSpec, theta: float, coeffs=None) -> np.ndarray:
     """(P, P) Floquet operator on sites 0..P-1 of states with a_{l+P} = e^{-i theta} a_l,
-    P = lattice_period(model).  coeffs is ignored; some callers still pass it."""
-    return _bloch_stack([_period_steps(model)], np.array([float(theta)]),
-                        lattice_period(model))[0]
+    P = lattice_period(model): _bloch_stack's block in the sites' gauge g.  coeffs is ignored."""
+    period, phi = lattice_period(model), np.array([float(theta)])
+    g = np.exp(1j * phi * np.arange(period) / period)   # g_l = e^{i theta l/P}
+    return _bloch_stack([_period_steps(model)], phi, period)[0] * g.conj()[:, None] * g
 
 
 def _bloch_stack(steps: list, phis: np.ndarray, period: int) -> np.ndarray:
@@ -75,7 +76,7 @@ def _bloch_stack(steps: list, phis: np.ndarray, period: int) -> np.ndarray:
     Kicks act on the grid q_k = (2*pi*k + phi)/P of the running angle phi.  The jumps
     s = +-1 over P of a step's diagonal factors (P must be lattice_period or, at fold
     2, its half) bring the ramp e^{-i a l/P}, a the sum of their arg(s), and move phi by -a.
-    The gauge is diag(e^{-i phi_end l/P}) on the left, diag(e^{i phi l/P}) on the right."""
+    The last table's e^{i(phi - phi_end) l/P} closes each block on the angle it started from."""
     sites = np.arange(period)
     angle = phis[:, None, None]
     kernel = []
@@ -86,13 +87,12 @@ def _bloch_stack(steps: list, phis: np.ndarray, period: int) -> np.ndarray:
         kick = np.exp(-1j * x[:, None, None] * np.cos((TWO_PI * sites + angle) / period)) / period
         kernel.append((kick, (table[:, None],)))
         angle = angle - arg[:, None, None]
+    table *= np.exp(1j * (phis[:, None] - angle[:, 0]) * sites / period)   # 1 unless folded
     # rows: basis images; the first kick's, fft(ifft(e_l) kick) unscaled, are fft(kick) shifted by l
     (kick, (table,)), *rest = kernel
     u = np.fft.fft(kick)[:, 0, (sites - sites[:, None]) % period]
     u *= table
     u = _apply_period(rest, u, u).swapaxes(1, 2)
-    u = u * np.exp(1j * angle * sites / period).conj().swapaxes(1, 2)
-    u *= np.exp(1j * phis[:, None, None] * sites / period)
     err = u.conj().swapaxes(1, 2) @ u   # |U^H U - I|, in the product's buffer
     err[:, sites, sites] -= 1.0
     err = np.max(np.abs(err, out=err.real), axis=(1, 2))
@@ -245,19 +245,18 @@ def _bloch_spectra(models: list, theta_count: int, workers: int = 1) -> list:
 
 
 def _solve_stack(stack: tuple) -> np.ndarray:
-    """One stack of _bloch_spectra; the solver is chosen here.  One-step (khm) blocks are
-    made complex symmetric in place, for the real solve (README, "Time reversal")."""
+    """One stack of _bloch_spectra; the solver is chosen here.  A one-step (khm) block u is
+    made complex symmetric in place, S = h^-1 u h in the pair basis (README, "Time reversal")."""
     u = _bloch_stack(*stack)
-    steps, phis, period = stack
+    steps, _, period = stack
     if len(steps[0]) > 1:
         return _stack_phases(u)
     sites, n = np.arange(period), (period - 1) // 2
     mirror = np.minimum(sites, period - sites)
     h = np.sqrt([_diagonal_table(fs, 0, period)[mirror] for ((_, fs),) in steps])
-    a = np.exp(1j * phis[:, None] * sites / period) / h
     pair = np.where(2 * sites % period, math.sqrt(0.5), 1.0)   # so the pair basis is orthonormal
-    u *= (pair / a)[:, None, :]
-    u *= (pair * a)[:, :, None]
+    u *= (pair * h)[:, None, :]
+    u *= (pair / h)[:, :, None]
     for v, turn in ((u, 1j), (u.swapaxes(1, 2), -1j)):   # rows, then columns: the sum at l,
         lo, hi = v[:, 1:n + 1], v[:, period - 1:period - n - 1:-1]   # the difference at P - l
         lo += hi

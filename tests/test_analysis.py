@@ -45,8 +45,9 @@ def test_diffusion_series_rejects_inconsistent_samples():
     for steps in ([0, 2, 1], [0, 1, 1]):
         with pytest.raises(ValueError, match="strictly increasing"):
             series_from(steps, [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError, match=">= 0"):
-        series_from([0, 1, 2], [0.0, -1.0, 2.0])
+    for bad in (-1.0, np.nan):   # fit_power_law would drop a NaN sample without a word
+        with pytest.raises(ValueError, match=">= 0"):
+            series_from([0, 1, 2], [0.0, bad, 2.0])
 
 
 def test_fit_is_exact_on_exact_power_laws():
@@ -155,6 +156,11 @@ def test_box_counting_is_invariant_under_duplication_and_rotation():
 def test_box_counting_input_validation():
     with pytest.raises(ValueError):
         box_counting_dimension(np.zeros(50))
+    for bad in (np.nan, np.inf, -np.inf):   # unchecked, one NaN here reads as d0 0.9885
+        pts = np.linspace(-np.pi, np.pi, 200, endpoint=False)
+        pts[57] = bad
+        with pytest.raises(ValueError, match="finite"):
+            box_counting_dimension(pts)
     with pytest.raises(ValueError):
         box_counting_dimension(np.linspace(0, 1, 200), scales=(4, 8))
     with pytest.raises(ValueError):

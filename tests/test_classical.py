@@ -76,6 +76,18 @@ def test_equivalence_residual_vanishes_for_all_kick_pairs():
         assert np.max(res) < 1e-12, (k1, k2)
 
 
+def test_both_routes_give_one_q_so_the_residual_is_their_p_difference():
+    """shear∘composed map and Harper map∘shear compute q' as the same float, so the
+    equivalence residual checks p' alone (README)."""
+    pts = random_points(20_000, seed=12)
+    for k1, k2 in K_PAIRS:
+        via_dkrm = canonical_transform(dkrm_resonant_map(pts, k1, k2))
+        via_khm = khm_map(canonical_transform(pts), k1, k2)
+        assert np.array_equal(via_dkrm.q, via_khm.q), (k1, k2)
+        assert np.array_equal(equivalence_residual(pts, k1, k2),
+                              np.abs(via_dkrm.p - via_khm.p)), (k1, k2)
+
+
 def composed_map_defects(pt, k1, k2):
     """The conjugacy residual and the half-step deviations from the maps composed in
     full, six sines per point: the oracle of conjugacy_defects."""

@@ -549,6 +549,54 @@ def test_bloch_matrix_equals_the_kick_band_sum(model):
         assert np.max(np.abs(block - ref)) < 1e-12
 
 
+# ── the paper's equivalence: a resonant double kick is a kicked Harper model ─
+
+def phased_khm_phases(ratios, num, den, points):
+    """Sorted union of the eigenphases of the khm blocks at the (theta, phi) points, phi the
+    Harper phase in e^{-i x2 cos(hbar l + phi)}.  A khm block is D K with D diagonal on the
+    sites, so it is build_bloch_matrix's block (phi = 0, pinned by the band sum) times the
+    diagonal that turns D's phase by phi."""
+    model = model_from_ratios(KHM, *ratios, num, den)
+    arg = TWO_PI * (num * np.arange(den) % den) / den   # hbar l, reduced exactly
+    blocks = [np.exp(-1j * ratios[1] * (np.cos(arg + phi) - np.cos(arg)))[:, None]
+              * build_bloch_matrix(model, theta) for theta, phi in points]
+    return np.sort(np.concatenate([quasienergies(block) for block in blocks]))
+
+
+def equivalent_khm_points(num, den, alpha, offset=math.pi):
+    """The (theta', phi') of the khm blocks whose union is the dkrm-resonant block at alpha
+    (README): (alpha, alpha/den) at P = den, for even num*den; at P = 2 den, for odd num*den,
+    (beta, (beta + offset)/den) for both beta in {alpha/2, alpha/2 + pi}."""
+    if num * den % 2 == 0:
+        return [(alpha, alpha / den)]
+    return [(beta, (beta + offset) / den) for beta in (alpha / 2, alpha / 2 + math.pi)]
+
+
+@pytest.mark.parametrize("num,den", [(2, 5), (1, 4), (3, 8), (34, 89),   # P = den
+                                     (1, 3), (3, 7), (5, 13)])           # P = 2 den
+def test_resonant_double_kick_blocks_are_phased_khm_blocks(num, den):
+    """The paper's equivalence block by block, at any kick strength: each dkrm-resonant
+    block has the eigenphases of one or two khm blocks at mapped (theta', phi')."""
+    for ratios in [(1.0, 0.5), (2.0, 1.3), (3.0, 0.4)]:
+        model = model_from_ratios(DKRM_RESONANT, *ratios, num, den)
+        assert lattice_period(model) == den * (1 + num * den % 2)
+        for alpha in (0.3, 2.0):
+            eps = quasienergies(build_bloch_matrix(model, alpha))
+            khm = phased_khm_phases(ratios, num, den, equivalent_khm_points(num, den, alpha))
+            assert spectrum_set_distance(eps, khm) <= 1e-12, (ratios, alpha)
+
+
+@pytest.mark.parametrize("num,den", [(1, 3), (3, 7)])
+def test_the_odd_map_fails_without_its_pi_offset(num, den):
+    """The map's negative control.  It is not asserted at narrow bands, where the wrong
+    union can come within about 1e-12 (5/13 with kicks 3.0 and 0.4)."""
+    model = model_from_ratios(DKRM_RESONANT, 1.0, 1.0, num, den)
+    for alpha in (0.3, 2.0):
+        eps = quasienergies(build_bloch_matrix(model, alpha))
+        wrong = phased_khm_phases((1.0, 1.0), num, den, equivalent_khm_points(num, den, alpha, 0))
+        assert spectrum_set_distance(eps, wrong) > 1e-3, alpha
+
+
 def differential_models():
     for kind, resonance in [(KHM, None), (DKRM_RESONANT, None)] + [
             (DKRM_GENERAL, res) for res in [(1, 2), (1, 3), (3, 4), (1, 4)]]:

@@ -41,7 +41,7 @@ class KickCoefficients:
 
 
 @lru_cache(maxsize=64)
-def _kick_coefficients_cached(x: float):
+def _kick_coefficients_cached(x: float) -> KickCoefficients:
     n_grid = 1 << max(9, math.ceil(math.log2(8 * (math.ceil(x) + 64))))
     c = np.fft.fft(_kick_table(x, n_grid))
     cutoff = int(np.flatnonzero(np.abs(c[: n_grid // 2 + 1]) >= COEFF_TOL).max(initial=0))
@@ -49,15 +49,14 @@ def _kick_coefficients_cached(x: float):
         raise NumericalError("kick coefficient tail reaches the sampling grid edge")
     coeffs = c[np.arange(-cutoff, cutoff + 1) % n_grid]
     coeffs.flags.writeable = False
-    return cutoff, coeffs
+    return KickCoefficients(cutoff, coeffs)
 
 
 def kick_coefficients(x: float) -> KickCoefficients:
     """Coefficients of the kick in the momentum basis, cut off once below COEFF_TOL."""
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError("x must be finite and >= 0")
-    cutoff, coeffs = _kick_coefficients_cached(float(x))
-    return KickCoefficients(cutoff, coeffs)
+    return _kick_coefficients_cached(float(x))
 
 
 # ── Floquet factors ────────────────────────────────────────────────────────
@@ -227,18 +226,17 @@ def trigger_margin(model: ModelSpec, n_sites: int) -> int:
     return max(1, width)
 
 
-def apply_floquet(model: ModelSpec, psi: Wavepacket, *,
-                  leak_threshold: float = DEFAULT_LEAK_THRESHOLD) -> Wavepacket:
+def apply_floquet(model: ModelSpec, psi: Wavepacket) -> Wavepacket:
     """Apply one full period of the model's Floquet operator.  Raises LatticeOverflowError
-    (grow the lattice and retry) when more than leak_threshold probability lies within
-    trigger_margin sites of the lattice edge, and NumericalError when that mass is NaN."""
+    (grow the lattice and retry) when more than DEFAULT_LEAK_THRESHOLD probability lies
+    within trigger_margin sites of the lattice edge, and NumericalError when that mass is NaN."""
     out = psi.with_amps(_apply_period(_kernel_tables(model, psi.l_min, psi.n_sites), psi.amps))
     mass = edge_mass(out, trigger_margin(model, psi.n_sites))
     if math.isnan(mass):
         raise NumericalError(f"edge mass is NaN on a {psi.n_sites}-site lattice")
-    if mass > leak_threshold:
+    if mass > DEFAULT_LEAK_THRESHOLD:
         raise LatticeOverflowError(
-            f"edge mass beyond {leak_threshold:g} on a {psi.n_sites}-site lattice")
+            f"edge mass beyond {DEFAULT_LEAK_THRESHOLD:g} on a {psi.n_sites}-site lattice")
     return out
 
 

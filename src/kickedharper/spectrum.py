@@ -136,21 +136,18 @@ def _cayley_phases(u: np.ndarray, pole, symmetric: bool = False) -> tuple:
     eigenvalue e^{i phi} of V, so epsilon = pole + pi + 2 arctan(w).  Rounding in H grows
     like the inverse of that distance, which is why the caller re-solves when it is small.
     pole is a scalar or one per block.  A symmetric (unitary) V is X + iY with X and Y
-    real, symmetric and commuting, so H = -(I + X)^{-1} Y is real symmetric.
+    real, symmetric and commuting, so H = -(X + I)^{-1} Y is real symmetric; its solve
+    reads X + I and Y as the real and imaginary parts of the one V + I.
     """
     pole = np.asarray(pole, dtype=np.float64)[..., None]
     diag = np.arange(u.shape[-1])
-    turn = np.exp(1j * (pole[..., None] + np.pi))
     # np.linalg's gufuncs, inv over its input; a singular V + I or failed solve leaves NaNs
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        h = u * np.exp(1j * (pole[..., None] + np.pi))
+        h[..., diag, diag] += 1.0
         if symmetric:
-            h = u.real * turn.real - u.imag * turn.imag
-            h[..., diag, diag] += 1.0
-            h = _umath_linalg.solve(h, -u.real * turn.imag - u.imag * turn.real,
-                                    signature="dd->d")
+            h = _umath_linalg.solve(h.real, -h.imag, signature="dd->d")
         else:
-            h = u * turn
-            h[..., diag, diag] += 1.0
             _umath_linalg.inv(h, signature="D->D", out=h)
             h *= -2j
             h[..., diag, diag] += 1j

@@ -6,8 +6,9 @@ platform whose numpy sine differs from libm fails here instead of only in the
 golden file.  quantum._apply_period calls numpy's private pocketfft ufuncs at scale 1
 (the kick tables carry the inverse FFT's 1/n), and
 spectrum._cayley_phases the private linalg gufuncs, complex (inv, eigvalsh_lo) and
-real (solve, eigvalsh_lo); a numpy release without them, or with another scale,
-fails here instead of deep inside the other tests.
+real (solve, eigvalsh_lo), the real solve on the strided .real and .imag views of one
+complex V + I; a numpy release without them, with another scale, or that misreads
+such a view, fails here instead of deep inside the other tests.
 """
 
 import math
@@ -74,6 +75,15 @@ def test_linalg_real_solve_and_eigvalsh_lo_gufuncs_match_np_linalg():
     assert h.dtype == np.float64 and h.shape == (3, 3)
     assert np.allclose(h, np.linalg.solve(a, b), rtol=0, atol=1e-12), (
         "solve gufunc differs from np.linalg.solve")
+    # the Cayley solve passes a stack's (V + I).real, a view with the complex stride, and
+    # the negated imaginary part; the views' own strides are checked here too
+    v = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3)) + 3 * np.eye(3)
+    assert not (v.real.flags.c_contiguous or v.imag.flags.c_contiguous)
+    for rhs in (v.imag, -v.imag):
+        x = _umath_linalg.solve(v.real, rhs, signature="dd->d")
+        assert x.dtype == np.float64 and x.shape == (2, 3, 3)
+        assert np.allclose(x, np.linalg.solve(v.real.copy(), rhs.copy()), rtol=0, atol=1e-12), (
+            "solve gufunc differs from np.linalg.solve on .real/.imag views")
     h = h + h.T
     w = _umath_linalg.eigvalsh_lo(h, signature="d->d")
     assert w.dtype == np.float64 and w.shape == (3,)

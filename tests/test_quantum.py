@@ -34,7 +34,7 @@ from kickedharper import (
     parse_effective_planck,
 )
 from kickedharper.quantum import trigger_margin
-from test_spectrum import period_sweep_models
+from test_spectrum import period_sweep_models, plain_period
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +68,8 @@ def test_kick_coefficients_frozen_reference_values():
     assert abs(co.coeff(0) - 0.7651976865579666) < 1e-12
     assert abs(co.coeff(1) - (-1j) * 0.4400505857449335) < 1e-12
     assert abs(co.coeff(-1) - co.coeff(1)) < 1e-14
+    # one cached object per strength, shared by every caller, so its array is read-only
+    assert kick_coefficients(1) is co and not co.coeffs.flags.writeable
 
 
 def test_kick_coefficients_invariants():
@@ -93,6 +95,17 @@ def test_kick_coefficients_rejects_bad_input():
         kick_coefficients(-1.0)
     with pytest.raises(ValueError):
         kick_coefficients(float("nan"))
+
+
+def test_kick_coefficients_raise_when_the_tail_reaches_the_grid_edge(monkeypatch):
+    # with no tolerance every coefficient counts, up to the sampling grid's Nyquist site
+    quantum._kick_coefficients_cached.cache_clear()
+    monkeypatch.setattr(quantum, "COEFF_TOL", 0.0)
+    try:
+        with pytest.raises(NumericalError, match="reaches the sampling grid edge"):
+            kick_coefficients(1.25)
+    finally:
+        quantum._kick_coefficients_cached.cache_clear()
 
 
 # ── grid kick vs banded convolution ────────────────────────────────────────
@@ -252,11 +265,9 @@ def test_general_principal_resonance_matches_resonant_model():
     amps /= np.linalg.norm(amps)
     for hbar in (hb, EffPlanck(1.3)):
         psi = Wavepacket(-128, 127, amps, hbar)
-        out_res = apply_floquet(ModelSpec(DKRM_RESONANT, 1.4, 0.9, hbar), psi,
-                                leak_threshold=1.1)
-        out_gen = apply_floquet(ModelSpec(DKRM_GENERAL, 1.4, 0.9, hbar, (1, 1)),
-                                psi, leak_threshold=1.1)
-        assert np.array_equal(out_res.amps, out_gen.amps)
+        out_res = plain_period(ModelSpec(DKRM_RESONANT, 1.4, 0.9, hbar), psi)
+        out_gen = plain_period(ModelSpec(DKRM_GENERAL, 1.4, 0.9, hbar, (1, 1)), psi)
+        assert np.array_equal(out_res, out_gen)
     assert lattice_period(res) == lattice_period(gen)
 
 
@@ -268,9 +279,9 @@ def test_half_order_resonance_with_zero_kicks_alternates_sign():
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
     psi = psi.with_amps(amps)
-    out = apply_floquet(model, psi, leak_threshold=1.1)
+    out = plain_period(model, psi)
     signs = (-1.0) ** np.abs(psi.sites())
-    assert np.max(np.abs(out.amps - signs * amps)) < 1e-12
+    assert np.max(np.abs(out - signs * amps)) < 1e-12
 
 
 # ── one full period on the lattice ─────────────────────────────────────────
@@ -323,14 +334,13 @@ def test_apply_floquet_fails_loudly_on_a_nan_amplitude():
 
 
 def dense_floquet(model, n_sites=128):
-    """Matrix of apply_floquet on an n_sites lattice, built column by column."""
+    """Matrix of one period (plain_period) on an n_sites lattice, built column by column."""
     psi = Wavepacket.delta(l0=0, n_sites=n_sites, hbar_eff=model.hbar_eff)
     cols = []
     for j in range(n_sites):
         unit = np.zeros(n_sites, dtype=np.complex128)
         unit[j] = 1.0
-        cols.append(apply_floquet(model, psi.with_amps(unit),
-                                  leak_threshold=np.inf).amps)
+        cols.append(plain_period(model, psi.with_amps(unit)))
     return np.stack(cols, axis=1), psi.sites()
 
 

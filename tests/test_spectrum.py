@@ -22,7 +22,6 @@ from kickedharper import (
     Rational,
     Wavepacket,
     aggregated_energies,
-    apply_floquet,
     build_bloch_matrix,
     butterfly_scan,
     check_symmetry_claims,
@@ -193,13 +192,19 @@ def eigvals_phases(u):
 
 # ── Bloch blocks against a dense ring ──────────────────────────────────────
 
+def plain_period(model, psi):
+    """Amplitudes after one period of the model on psi's lattice, with no edge check."""
+    return quantum._apply_period(quantum._kernel_tables(model, psi.l_min, psi.n_sites),
+                                 psi.amps)
+
+
 def ring_eigenphases(model, n_sites):
     cols = []
     for j in range(n_sites):
         amps = np.zeros(n_sites, dtype=np.complex128)
         amps[j] = 1.0
         psi = Wavepacket(0, n_sites - 1, amps, model.hbar_eff)
-        cols.append(apply_floquet(model, psi, leak_threshold=math.inf).amps)
+        cols.append(plain_period(model, psi))
     u = np.stack(cols, axis=1)
     assert np.max(np.abs(u.conj().T @ u - np.eye(n_sites))) < 1e-10
     return eigvals_phases(u)
@@ -595,6 +600,60 @@ def test_the_odd_map_fails_without_its_pi_offset(num, den):
         eps = quasienergies(build_bloch_matrix(model, alpha))
         wrong = phased_khm_phases((1.0, 1.0), num, den, equivalent_khm_points(num, den, alpha, 0))
         assert spectrum_set_distance(eps, wrong) > 1e-3, alpha
+
+
+# ── the Hofstadter limit: an almost-Mathieu oracle with no package code ────
+
+def almost_mathieu(num, den, theta, phi):
+    """Eigenvalues of H = (S + S^dag)/2 + cos(hbar l + phi), hbar = 2*pi*num/den, on the den
+    sites of states with a_{l+den} = e^{-i theta} a_l: Hofstadter's operator (PRB 14, 2239,
+    1976), which small kicks (r, r) in units of hbar approach as e^{-i r H}."""
+    l = np.arange(den)
+    h = np.diag(np.cos(TWO_PI * num * l / den + phi)).astype(np.complex128)
+    h[l[:-1], l[1:]] = h[l[1:], l[:-1]] = 0.5
+    h[den - 1, 0] += 0.5 * np.exp(-1j * theta)
+    h[0, den - 1] += 0.5 * np.exp(1j * theta)
+    return np.linalg.eigvalsh(h)
+
+
+def one_sided_distance(a, b):
+    """Largest distance from a point of a to the nearest point of b."""
+    return np.max(np.min(np.abs(np.ravel(a)[:, None] - np.ravel(b)[None, :]), axis=1))
+
+
+def almost_mathieu_union(num, den, count=16):
+    """eig H over theta in 2*pi*j/count and den*phi in 2*pi*k/count."""
+    angles = TWO_PI * np.arange(count) / count
+    return np.concatenate([almost_mathieu(num, den, theta, den_phi / den)
+                           for theta in angles for den_phi in angles])
+
+
+@pytest.mark.parametrize("num,den", [(1, 3), (2, 5), (5, 13), (34, 89)])
+def test_small_khm_kicks_approach_the_almost_mathieu_slice_as_r_squared(num, den):
+    """khm is the phi = 0 slice: e^{-i r cos q} e^{-i r cos(hbar l)} = e^{-i r H} + O(r^2),
+    so each row of eps/r meets eig H(theta, 0) to within a gap that shrinks as r^2."""
+    oracle = np.array([almost_mathieu(num, den, theta, 0.0) for theta in theta_grid(8)])
+    gaps = []
+    for r in (1e-2, 1e-3):
+        eps = spectrum._bloch_spectra([model_from_ratios(KHM, r, r, num, den)], 8)[0]
+        gaps.append(np.max(np.abs(np.sort(eps / r, axis=1) - oracle)))
+    assert gaps[0] <= 1e-5 and gaps[1] <= 1e-7, gaps
+    assert 95 <= gaps[0] / gaps[1] <= 105, gaps
+
+
+@pytest.mark.parametrize("num,den", [(1, 3), (2, 5), (3, 7), (5, 13)])
+def test_small_resonant_double_kicks_lie_in_the_almost_mathieu_union(num, den):
+    """dkrm-resonant blocks are khm blocks at mapped (theta', phi') points (above), which
+    theta_grid(8) puts on the oracle's (theta, den*phi) grid, so eps/r lies in its union."""
+    eps = spectrum._bloch_spectra([model_from_ratios(DKRM_RESONANT, 1e-3, 1e-3, num, den)], 8)[0]
+    assert one_sided_distance(eps / 1e-3, almost_mathieu_union(num, den)) <= 1e-6
+
+
+def test_the_almost_mathieu_union_is_not_inside_the_resonant_double_kick_spectrum():
+    """The inclusion's negative control: at 1/3 the diagonal den*phi = theta + pi misses
+    part of the (theta, phi) union."""
+    eps = spectrum._bloch_spectra([model_from_ratios(DKRM_RESONANT, 1e-3, 1e-3, 1, 3)], 8)[0]
+    assert one_sided_distance(almost_mathieu_union(1, 3), eps / 1e-3) > 0.1
 
 
 def differential_models():

@@ -314,7 +314,7 @@ def run_fractal(model: ModelSpec, knobs: dict, prefix: str) -> int:
 
 
 def run_check_symmetries(model: ModelSpec, knobs: dict, prefix: str) -> int:
-    interior = [r for r in farey_sequence(knobs["s_max"]) if r.num < r.den]
+    interior = [r for r in farey_sequence(knobs["s_max"]) if r < 1]
     n_rationals = knobs["n_rationals"]
     if n_rationals < len(interior):
         idx = sorted(set(np.round(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,28 +19,26 @@ TWO_PI = 2.0 * math.pi
 
 # ── rationals ──────────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class Rational:
-    """Reduced non-negative fraction num/den with den >= 1."""
+class Rational(Fraction):
+    """Reduced non-negative Fraction num/den with den >= 1, printed as num/den (2/1 too).
+    Its arithmetic returns plain Fractions, so Rational(x) reads a result back as a tag."""
 
-    num: int
-    den: int
+    __slots__ = ()
+    num, den = Fraction.numerator, Fraction.denominator
 
-    def __post_init__(self):
-        if self.den == 0:
+    def __new__(cls, num, den=None):
+        if den == 0:
             raise ValueError("zero denominator")
-        num, den = self.num, self.den
-        if den < 0:
-            num, den = -num, -den
-        if num < 0:
+        self = super().__new__(cls, num, den)
+        if self.numerator < 0:
             raise ValueError("negative rational not representable")
-        g = math.gcd(num, den)
-        if g > 1 or den != self.den:   # already reduced terms are kept as given
-            object.__setattr__(self, "num", num // g)
-            object.__setattr__(self, "den", den // g)
+        return self
+
+    def __reduce__(self):   # by the integers, not through str(self) as Python 3.10 does
+        return type(self), (self.numerator, self.denominator)
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return f"{self.numerator}/{self.denominator}"
 
 
 def farey_sequence(s_max: int) -> list[Rational]:

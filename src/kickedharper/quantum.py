@@ -138,9 +138,7 @@ def _period_steps(model: ModelSpec) -> tuple:
     Both double-kick kinds close with the drift of resonance (nu, mu); its phase
     e^{-i pi (2 nu/mu) l^2} only depends on 2 nu/mu mod 2, as e^{-i pi 2 l^2} = 1.
     """
-    hb = model.hbar_eff.value
-    rp = model.hbar_eff.rational_part
-    cyc = Fraction(rp.num, rp.den) if rp is not None else None
+    hb, cyc = model.hbar_eff.value, model.hbar_eff.rational_part
     if model.kind == KHM:
         return ((model.k1 / hb, (HarperPhase(model.k2 / hb, model.hbar_eff),)),)
     nu, mu = model.resonance

@@ -291,7 +291,7 @@ def scan_rationals(kind: str, s_max: int, window_cycles: int | None = None) -> l
     if cycles < 1:
         raise ValueError("window_cycles must be >= 1")
     farey = farey_sequence(s_max)   # (0, 1], so shift-major order ascends
-    return [Rational(r.num + shift * r.den, r.den) for shift in range(cycles) for r in farey]
+    return [Rational(r + shift) for shift in range(cycles) for r in farey]
 
 
 def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
@@ -310,10 +310,10 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
     rationals = scan_rationals(kind, s_max, window_cycles)
     models = [model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
               for r in rationals]
-    # hbar-mirror partners num/den, (c den - num)/den share a spectrum (_hbar_symmetries)
+    # hbar-mirror partners r and c - r share a spectrum (_hbar_symmetries)
     c, mirror = _hbar_symmetries(kind, models[0].resonance)
-    index = {(r.num, r.den): i for i, r in enumerate(rationals)} if mirror else {}
-    rep = [min(i, index.get((c * r.den - r.num, r.den), i)) for i, r in enumerate(rationals)]
+    index = {r: i for i, r in enumerate(rationals)} if mirror else {}
+    rep = [min(i, index.get(c - r, i)) for i, r in enumerate(rationals)]
     solved = {i: models[i] for i in sorted(set(rep))}   # the lower rational of each pair
     energies = dict(zip(solved, _bloch_spectra(list(solved.values()), theta_count, workers)))
     return SpectrumSet([m.hbar_eff for m in models], theta_grid(theta_count),
@@ -346,12 +346,12 @@ def check_symmetry_claims(kind: str, ratio1: float, ratio2: float, rationals,
     for r in rationals:
         base = model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
         c, mirror = _hbar_symmetries(kind, base.resonance)
-        partners = [(f"period {2 * c}*pi", ratio1, ratio2, r.num + c * r.den)]
-        partners += [("mirror about " + ("pi" if c == 1 else f"{c}*pi"), ratio1, ratio2,
-                      c * r.den - r.num)] if mirror else []
-        partners += [] if kind == KHM else [("kick swap", ratio2, ratio1, r.num)]
-        claims += [(name, r, base, model_from_ratios(kind, r1, r2, num, r.den, resonance))
-                   for name, r1, r2, num in partners if num >= 1]
+        partners = [(f"period {2 * c}*pi", (ratio1, ratio2), r + c)]
+        partners += [("mirror about " + ("pi" if c == 1 else f"{c}*pi"), (ratio1, ratio2),
+                      c - r)] if mirror else []
+        partners += [] if kind == KHM else [("kick swap", (ratio2, ratio1), r)]
+        claims += [(name, r, base, model_from_ratios(kind, *ks, *p.as_integer_ratio(), resonance))
+                   for name, ks, p in partners if p > 0]
     models = list(dict.fromkeys(m for claim in claims for m in claim[2:]))
     spectra = dict(zip(models, _bloch_spectra(models, theta_count)))
     return [SymmetryReport(name, str(r), spectrum_set_distance(spectra[a], spectra[b]), tol)

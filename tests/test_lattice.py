@@ -1,6 +1,8 @@
 """Rational plumbing, effective Planck parsing, and wavepacket containers."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,26 @@ def test_rational_rejects_undefined_and_negative():
     assert Rational(0, 3) == Rational(0, 1)
     with pytest.raises(ValueError):
         Rational(2, -4)  # sign moves to the numerator, ratio is negative
+
+
+def test_rational_is_a_fraction_that_reads_num_over_den():
+    r = Rational(3, 19)
+    assert isinstance(r, Fraction) and r == Fraction(3, 19)
+    assert hash(r) == hash(Fraction(3, 19))
+    assert not hasattr(r, "__dict__")
+    assert str(Rational(2, 1)) == "2/1"
+    assert repr(r) == "Rational(3, 19)"
+    back = Rational(Rational(1, 3) + 1)   # the arithmetic gives a plain Fraction
+    assert type(back) is Rational and (back.num, back.den) == (4, 3)
+
+
+@pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
+                                   copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_rational_survives_pickle_and_copy(clone):
+    """The worker pool pickles Rationals inside the step factors."""
+    for r in (Rational(3, 19), Rational(2, 1), Rational(0, 5)):
+        twin = clone(r)
+        assert type(twin) is Rational and (twin.num, twin.den) == (r.num, r.den)
 
 
 def test_farey_sequence_is_complete_sorted_and_reduced():

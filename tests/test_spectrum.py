@@ -656,6 +656,25 @@ def test_the_almost_mathieu_union_is_not_inside_the_resonant_double_kick_spectru
     assert one_sided_distance(almost_mathieu_union(1, 3), eps / 1e-3) > 0.1
 
 
+@pytest.mark.parametrize("num,den", [(5, 13), (8, 21), (13, 34), (21, 55), (34, 89),
+                                     (55, 144), (89, 233)])
+def test_the_khm_slice_measure_along_the_fibonacci_convergents(num, den):
+    """Band j of the phi = 0 slice runs from E_j(0) to E_j(pi), so its measure is
+    q |sigma| = q sum_j |E_j(0) - E_j(pi)|; theta_grid(2) is {0, pi}, and small khm kicks
+    reach it as r^2.  It is about half of Thouless's 16C/pi for the (theta, phi) union."""
+    edges = np.array([almost_mathieu(num, den, theta, 0.0) for theta in (0.0, math.pi)])
+    low, high = edges.min(axis=0), edges.max(axis=0)
+    assert np.all(low[1:] - high[:-1] >= -1e-12)   # at 55/144 the central bands touch
+    measure = den * np.sum(high - low)
+    assert 2.2 <= measure <= 2.4, measure
+    gaps = []
+    for r in (1e-2, 1e-3):
+        eps = spectrum._bloch_spectra([model_from_ratios(KHM, r, r, num, den)], 2)[0] / r
+        gaps.append(abs(den * np.sum(np.abs(eps[0] - eps[1])) - measure) / measure)
+    assert gaps[0] <= 1e-4 and gaps[1] <= 1e-6, gaps
+    assert 95 <= gaps[0] / gaps[1] <= 105, gaps
+
+
 def differential_models():
     for kind, resonance in [(KHM, None), (DKRM_RESONANT, None)] + [
             (DKRM_GENERAL, res) for res in [(1, 2), (1, 3), (3, 4), (1, 4)]]:

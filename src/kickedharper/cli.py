@@ -171,7 +171,7 @@ from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-csv_path = Path(__file__).with_name("@CSV@")
+csv_path = Path(__file__).with_name(@CSV@)
 hbar, eps = [], []
 with open(csv_path, newline="") as fh:
     for row in csv.DictReader(fh):
@@ -193,7 +193,7 @@ from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-csv_path = Path(__file__).with_name("@CSV@")
+csv_path = Path(__file__).with_name(@CSV@)
 steps, var = [], []
 with open(csv_path, newline="") as fh:
     for row in csv.DictReader(fh):
@@ -221,8 +221,9 @@ SWEEP_CHUNK = 1 << 12
 
 
 def _write_plot(prefix: str, template: str, csv_path: str):
+    name = json.dumps(os.path.basename(csv_path), ensure_ascii=False)   # a Python str literal
     with _open_output(prefix + "_plot.py") as fh:
-        fh.write(template.replace("@CSV@", os.path.basename(csv_path)))
+        fh.write(template.replace("@CSV@", name))
 
 
 # ── commands ───────────────────────────────────────────────────────────────

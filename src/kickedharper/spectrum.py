@@ -291,7 +291,7 @@ def scan_rationals(kind: str, s_max: int, window_cycles: int | None = None) -> l
     if cycles < 1:
         raise ValueError("window_cycles must be >= 1")
     farey = farey_sequence(s_max)   # (0, 1], so shift-major order ascends
-    return [Rational(r + shift) for shift in range(cycles) for r in farey]
+    return [Rational(r.num + shift * r.den, r.den) for shift in range(cycles) for r in farey]
 
 
 def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
@@ -308,16 +308,14 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     rationals = scan_rationals(kind, s_max, window_cycles)
-    models = [model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
-              for r in rationals]
-    # hbar-mirror partners r and c - r share a spectrum (_hbar_symmetries)
-    c, mirror = _hbar_symmetries(kind, models[0].resonance)
-    index = {r: i for i, r in enumerate(rationals)} if mirror else {}
-    rep = [min(i, index.get(c - r, i)) for i, r in enumerate(rationals)]
-    solved = {i: models[i] for i in sorted(set(rep))}   # the lower rational of each pair
-    energies = dict(zip(solved, _bloch_spectra(list(solved.values()), theta_count, workers)))
-    return SpectrumSet([m.hbar_eff for m in models], theta_grid(theta_count),
-                       [energies[i] for i in rep])
+    models = {r: model_from_ratios(kind, ratio1, ratio2, r.num, r.den, resonance)
+              for r in rationals}
+    c, mirror = _hbar_symmetries(kind, models[rationals[0]].resonance)   # mirror r -> c - r
+    rep = {r: Rational(min(r, c - r)) if mirror and r < c else r for r in rationals}
+    solved = sorted(set(rep.values()))   # lower of each pair; c - r < r is a scan rational
+    energies = dict(zip(solved, _bloch_spectra([models[r] for r in solved], theta_count, workers)))
+    return SpectrumSet([m.hbar_eff for m in models.values()], theta_grid(theta_count),
+                       [energies[rep[r]] for r in rationals])
 
 
 # ── symmetry claims ────────────────────────────────────────────────────────

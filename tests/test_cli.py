@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver against temporary directories."""
 
+import ast
 import csv
 import functools
 import json
@@ -115,6 +116,23 @@ def test_spectrum_csv_is_one_row_format_per_quasienergy(tmp_path):
     assert main([write_config(tmp_path, "fr.json", cfg)]) == 0
     data = (tmp_path / "fr" / "run_spectrum.csv").read_bytes()
     assert data == expected_spectrum_csv(model_spectrum(model, 5))
+
+
+@pytest.mark.parametrize("name", ['it"s', "tab\\tname", 'both\\"', "smile\U0001f600"])
+def test_plot_scripts_name_their_csv_for_any_output_prefix(tmp_path, name):
+    """The plot script's with_name argument is a string literal of the CSV's basename, so a
+    quote or a backslash in the prefix neither breaks the script nor names another file, and a
+    character outside the BMP is not split into surrogate escapes."""
+    evolve = {"command": "evolve", "n_steps": 20, "fit_window": [2, 20],
+              "model": {"kind": "dkrm-resonant", "k1": 1.0, "k2": 1.0, "hbar": "2pi*1/3"}}
+    for cfg, suffix in ((butterfly_config(tmp_path), "_spectrum.csv"), (evolve, "_diffusion.csv")):
+        cfg["output_prefix"] = str(tmp_path / "out" / name)
+        assert main([write_config(tmp_path, "c.json", cfg)]) == 0
+        assert (tmp_path / "out" / (name + suffix)).is_file()
+        tree = ast.parse((tmp_path / "out" / (name + "_plot.py")).read_text())
+        args = [node.args for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "with_name"]
+        assert [[ast.literal_eval(arg) for arg in a] for a in args] == [[name + suffix]]
 
 
 # ── evolve ─────────────────────────────────────────────────────────────────

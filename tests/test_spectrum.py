@@ -602,6 +602,29 @@ def test_the_odd_map_fails_without_its_pi_offset(num, den):
         assert spectrum_set_distance(eps, wrong) > 1e-3, alpha
 
 
+# ── Aubry duality and the sign flips of the (theta, phi) torus ─────────────
+
+@pytest.mark.parametrize("num,den", [(2, 5), (1, 3), (3, 8), (5, 13), (1, 4), (3, 7)])
+def test_khm_blocks_are_self_dual_and_even_in_both_angles(num, den):
+    """Aubry duality per block (Aubry & Andre 1980): the khm block at (theta, den phi) with
+    kicks (x1, x2) has the eigenphases of the block at (den phi, theta) with kicks (x2, x1),
+    and of the blocks at (+-theta, +-den phi).  Controls: a pi offset on the dual angle, and
+    the dual point without the kick swap."""
+    for ratios in [(1.0, 0.5), (2.0, 1.3)]:
+        swapped = ratios[::-1]
+        for theta, a in [(0.3, 1.1), (2.0, 0.7), (-1.2, 2.9)]:   # a = den phi
+            eps = phased_khm_phases(ratios, num, den, [(theta, a / den)])
+            dual = (a, theta / den)
+            same = [(swapped, dual)] + [(ratios, (s * theta, t * a / den))
+                                        for s, t in [(-1, 1), (1, -1), (-1, -1)]]
+            for kicks, point in same:
+                dist = spectrum_set_distance(eps, phased_khm_phases(kicks, num, den, [point]))
+                assert dist <= 1e-12, (ratios, theta, a, kicks, point)
+            for kicks, point in [(swapped, (a + math.pi, theta / den)), (ratios, dual)]:
+                dist = spectrum_set_distance(eps, phased_khm_phases(kicks, num, den, [point]))
+                assert dist > 1e-9, (ratios, theta, a, kicks, point)
+
+
 # ── the Hofstadter limit: an almost-Mathieu oracle with no package code ────
 
 def almost_mathieu(num, den, theta, phi):
@@ -867,8 +890,9 @@ def test_scan_rationals_match_the_sorted_shifted_farey_copies():
                    for shifts in (1, 2, 3)}
         for kind, default in ((KHM, 1), (DKRM_RESONANT, 2)):
             for cycles in (None, 1, 2, 3):
-                assert scan_rationals(kind, s_max, cycles) == oracles[cycles or default], (
-                    kind, s_max, cycles)
+                scan = scan_rationals(kind, s_max, cycles)
+                assert scan == oracles[cycles or default], (kind, s_max, cycles)
+                assert all(type(r) is Rational for r in scan), (kind, s_max, cycles)
 
 
 def test_model_from_ratios_scales_kicks_with_planck():
@@ -959,7 +983,7 @@ def test_mirrored_scan_equals_a_solve_of_every_rational(kind, resonance, monkeyp
 
     mirrors = resonance in (None, (1, 1))
     for ratios in ((1.0, 0.5), (2.3, 1.1)):
-        for cycles in (None, 3):
+        for cycles in (None, 1, 3):   # window 1 is below c = 2 for the double kicks
             rationals = scan_rationals(kind, 9, cycles)
             monkeypatch.setattr(spectrum, "_bloch_spectra", spy)
             solved.clear()
@@ -968,9 +992,10 @@ def test_mirrored_scan_equals_a_solve_of_every_rational(kind, resonance, monkeyp
             monkeypatch.undo()
             models = [model_from_ratios(kind, *ratios, r.num, r.den, resonance)
                       for r in rationals]
-            if mirrors:
-                assert len(set(solved)) == len(solved) < len(models)
-                assert set(solved) <= set(models)
+            if mirrors:   # the lower rational of each pair r, c - r, so none above c/2 below c
+                c = 1 if kind == KHM else 2
+                assert solved == [m for r, m in zip(rationals, models) if not c < 2 * r < 2 * c]
+                assert len(solved) < len(models) or (c, cycles) == (2, 1)
             else:
                 assert solved == models   # no shortcut: every rational, in order
             for model, eps in zip(models, spec.energies):

@@ -73,21 +73,18 @@ def _bloch_stack(steps: list, phis: np.ndarray, period: int) -> np.ndarray:
     """(B, P, P) blocks on P sites: block b is the Floquet operator of the steps
     steps[b] at angle phis[b]; every steps list has the same length.
 
-    Kicks act on the grid q_k = (2*pi*k + phi)/P of the running angle phi.  The jumps
-    s = +-1 over P of a step's diagonal factors (P must be lattice_period or, at fold
-    2, its half) bring the ramp e^{-i a l/P}, a the sum of their arg(s), and move phi by -a.
-    The last table's e^{i(phi - phi_end) l/P} closes each block on the angle it started from."""
+    Kicks act on one grid q_k = (2*pi*k + phi)/P.  A step whose factors' jumps over P
+    multiply to -1 (P odd; P is lattice_period or, at fold 2, its half) takes (-1)^l on
+    its table, which moves q by pi, so every later kick of its block changes sign.  The
+    fold makes the product of all the jumps 1, so each block closes on its own angle."""
     sites = np.arange(period)
-    angle = phis[:, None, None]
-    kernel = []
+    grid, sign, kernel = np.cos((TWO_PI * sites + phis[:, None, None]) / period), 1, []
     for step in zip(*steps):   # this step of every block, as (B, 1, P) tables
-        x, arg = np.array([(x, sum(math.atan2(0, f.jump(period)) for f in fs)) for x, fs in step]).T
+        x, jump = np.array([(x, math.prod(f.jump(period) for f in fs)) for x, fs in step]).T
         table = np.array([_diagonal_table(fs, 0, period) for _, fs in step])
-        table *= np.exp(-1j * arg[:, None] * sites / period)
-        kick = np.exp(-1j * x[:, None, None] * np.cos((TWO_PI * sites + angle) / period)) / period
-        kernel.append((kick, (table[:, None],)))
-        angle = angle - arg[:, None, None]
-    table *= np.exp(1j * (phis[:, None] - angle[:, 0]) * sites / period)   # 1 unless folded
+        table *= jump[:, None] ** sites
+        kernel.append((np.exp(-1j * (sign * x)[:, None, None] * grid) / period, (table[:, None],)))
+        sign = sign * jump
     # rows: basis images; the first kick's, fft(ifft(e_l) kick) unscaled, are fft(kick) shifted by l
     (kick, (table,)), *rest = kernel
     u = np.fft.fft(kick)[:, 0, (sites - sites[:, None]) % period]
@@ -149,8 +146,7 @@ def _cayley_phases(u: np.ndarray, pole, symmetric: bool = False) -> tuple:
             h = _umath_linalg.solve(h.real, -h.imag, signature="dd->d")
         else:
             _umath_linalg.inv(h, signature="D->D", out=h)
-            h *= -2j
-            h[..., diag, diag] += 1j
+            h *= -2j   # H - iI: eigvalsh reads no imaginary part on the diagonal
         w = _umath_linalg.eigvalsh_lo(h, signature="d->d" if symmetric else "D->d")
     clearance = np.pi - 2.0 * np.arctan(np.max(np.abs(w), axis=-1))
     eps = np.mod(pole + TWO_PI + 2.0 * np.arctan(w), TWO_PI) - np.pi

@@ -7,8 +7,9 @@ golden file.  quantum._apply_period calls numpy's private pocketfft ufuncs at sc
 (the kick tables carry the inverse FFT's 1/n), and
 spectrum._cayley_phases the private linalg gufuncs, complex (inv, eigvalsh_lo) and
 real (solve, eigvalsh_lo), the real solve on the strided .real and .imag views of one
-complex V + I; a numpy release without them, with another scale, or that misreads
-such a view, fails here instead of deep inside the other tests.
+complex V + I, and the complex eigvalsh_lo on H - iI, whose diagonal's imaginary part it
+must not read; a numpy release without them, with another scale, or that misreads such a
+view or diagonal, fails here instead of deep inside the other tests.
 """
 
 import math
@@ -88,3 +89,18 @@ def test_linalg_real_solve_and_eigvalsh_lo_gufuncs_match_np_linalg():
     w = _umath_linalg.eigvalsh_lo(h, signature="d->d")
     assert w.dtype == np.float64 and w.shape == (3,)
     assert np.allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-12), "real eigvalsh_lo differs"
+
+
+def test_eigvalsh_lo_reads_no_imaginary_part_on_the_diagonal():
+    # numpy documents that eigh and eigvalsh treat it as zero; the complex Cayley solve
+    # passes H - iI for the Hermitian H, so the bits must not depend on it
+    rng = np.random.default_rng(2)
+    for n in (3, 8, 233):
+        a = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        h = a + a.conj().swapaxes(1, 2)
+        ref = _umath_linalg.eigvalsh_lo(h, signature="D->d")
+        diag = np.arange(n)
+        for shift in (-1j, 1j * rng.normal(size=(2, n))):
+            moved = h.copy()
+            moved[:, diag, diag] += shift
+            assert np.array_equal(_umath_linalg.eigvalsh_lo(moved, signature="D->d"), ref), n

@@ -625,6 +625,21 @@ def test_khm_blocks_are_self_dual_and_even_in_both_angles(num, den):
                 assert dist > 1e-9, (ratios, theta, a, kicks, point)
 
 
+@pytest.mark.parametrize("num,den", [(2, 5), (5, 13), (1, 3), (3, 8)])
+def test_the_khm_butterfly_is_the_theta_zero_line_of_the_swapped_kicks(num, den):
+    """Duality on a whole line: row j of the khm butterfly (the phi = 0 line) with kicks
+    (x1, x2) is the block at (0, den phi = theta_j) with kicks (x2, x1).  Control: the
+    swapped model's own phi = 0 line is another spectrum."""
+    for ratios in [(1.0, 0.5), (2.0, 1.3)]:
+        swapped = ratios[::-1]
+        rows, own = spectrum._bloch_spectra([model_from_ratios(KHM, *ks, num, den)
+                                             for ks in (ratios, swapped)], 16)
+        for j, theta in enumerate(theta_grid(16)):
+            dual = phased_khm_phases(swapped, num, den, [(0.0, theta / den)])
+            assert spectrum_set_distance(rows[j], dual) <= 1e-12, (ratios, theta)
+        assert max(map(spectrum_set_distance, rows, own)) > 0.1, ratios
+
+
 # ── the Hofstadter limit: an almost-Mathieu oracle with no package code ────
 
 def almost_mathieu(num, den, theta, phi):
@@ -649,6 +664,14 @@ def almost_mathieu_union(num, den, count=16):
     angles = TWO_PI * np.arange(count) / count
     return np.concatenate([almost_mathieu(num, den, theta, den_phi / den)
                            for theta in angles for den_phi in angles])
+
+
+def almost_mathieu_slice_measure(num, den):
+    """q |sigma| of the phi = 0 slice: band j runs from E_j(0) to E_j(pi)."""
+    edges = np.array([almost_mathieu(num, den, theta, 0.0) for theta in (0.0, math.pi)])
+    low, high = edges.min(axis=0), edges.max(axis=0)
+    assert np.all(low[1:] - high[:-1] >= -1e-12)   # at 55/144 the central bands touch
+    return den * np.sum(high - low)
 
 
 @pytest.mark.parametrize("num,den", [(1, 3), (2, 5), (5, 13), (34, 89)])
@@ -679,16 +702,15 @@ def test_the_almost_mathieu_union_is_not_inside_the_resonant_double_kick_spectru
     assert one_sided_distance(almost_mathieu_union(1, 3), eps / 1e-3) > 0.1
 
 
-@pytest.mark.parametrize("num,den", [(5, 13), (8, 21), (13, 34), (21, 55), (34, 89),
-                                     (55, 144), (89, 233)])
+FIBONACCI_CONVERGENTS = [(5, 13), (8, 21), (13, 34), (21, 55), (34, 89), (55, 144), (89, 233)]
+
+
+@pytest.mark.parametrize("num,den", FIBONACCI_CONVERGENTS)
 def test_the_khm_slice_measure_along_the_fibonacci_convergents(num, den):
     """Band j of the phi = 0 slice runs from E_j(0) to E_j(pi), so its measure is
     q |sigma| = q sum_j |E_j(0) - E_j(pi)|; theta_grid(2) is {0, pi}, and small khm kicks
     reach it as r^2.  It is about half of Thouless's 16C/pi for the (theta, phi) union."""
-    edges = np.array([almost_mathieu(num, den, theta, 0.0) for theta in (0.0, math.pi)])
-    low, high = edges.min(axis=0), edges.max(axis=0)
-    assert np.all(low[1:] - high[:-1] >= -1e-12)   # at 55/144 the central bands touch
-    measure = den * np.sum(high - low)
+    measure = almost_mathieu_slice_measure(num, den)
     assert 2.2 <= measure <= 2.4, measure
     gaps = []
     for r in (1e-2, 1e-3):
@@ -696,6 +718,39 @@ def test_the_khm_slice_measure_along_the_fibonacci_convergents(num, den):
         gaps.append(abs(den * np.sum(np.abs(eps[0] - eps[1])) - measure) / measure)
     assert gaps[0] <= 1e-4 and gaps[1] <= 1e-6, gaps
     assert 95 <= gaps[0] / gaps[1] <= 105, gaps
+
+
+def spectrum_measure(energies):
+    """|sigma| of a (T, P) array of sorted rows: the union over band index j of
+    [min_theta eps_j, max_theta eps_j].  Column j is continuous in theta off the seam, so
+    its interval lies in the spectrum, folded or not; a band near +-pi fails."""
+    assert np.max(np.abs(energies)) < math.pi - 0.1, "a band reaches the +-pi seam"
+    low, high = energies.min(axis=0), energies.max(axis=0)   # both ascend in j
+    return float(np.sum(high - np.maximum(low, np.concatenate([[-math.pi], high[:-1]]))))
+
+
+@pytest.mark.parametrize("r,low,high", [(0.2, 0.44, 0.48), (0.5, 1.07, 1.15), (1.0, 1.86, 2.00)])
+def test_the_khm_spectrum_measure_stays_flat_along_the_convergents(r, low, high):
+    """q |sigma| of khm (r, r) on theta_grid(8) stays bounded as q grows, as a Cantor
+    spectrum of measure zero does (Artuso, Casati & Shepelyansky 1992)."""
+    rows = spectrum._bloch_spectra([model_from_ratios(KHM, r, r, num, den)
+                                    for num, den in FIBONACCI_CONVERGENTS], 8)
+    for (num, den), eps in zip(FIBONACCI_CONVERGENTS, rows):
+        assert low <= den * spectrum_measure(eps) <= high, (num, den)
+
+
+def test_the_spectrum_measure_meets_the_almost_mathieu_slice_and_guards_the_seam():
+    """Small khm kicks reach the almost-Mathieu slice measure as r^2; a band within 0.1 of
+    +-pi (5/13 at r = 4) fails instead of being measured across the seam."""
+    for r, tol in [(1e-2, 1e-4), (1e-3, 1e-6)]:
+        rows = spectrum._bloch_spectra([model_from_ratios(KHM, r, r, num, den)
+                                        for num, den in FIBONACCI_CONVERGENTS], 8)
+        for (num, den), eps in zip(FIBONACCI_CONVERGENTS, rows):
+            oracle = almost_mathieu_slice_measure(num, den)
+            assert abs(den * spectrum_measure(eps) / r - oracle) <= tol * oracle, (r, num, den)
+    eps = spectrum._bloch_spectra([model_from_ratios(KHM, 4.0, 4.0, 5, 13)], 8)[0]
+    with pytest.raises(AssertionError, match="seam"):
+        spectrum_measure(eps)
 
 
 def differential_models():

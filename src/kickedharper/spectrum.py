@@ -30,6 +30,7 @@ CAYLEY_CLEARANCE = 0.1  # re-solve when an eigenphase lies nearer the pole
 MOMENT_TOL = 1e-10      # per site, on the tr U and tr U^2 checks
 SEAM_TOL = 1e-13        # a phase this close above -pi is -1 up to rounding: read as pi
 STACK_ENTRIES = 2 ** 13  # complex entries per stack of blocks, to bound memory
+POOL_WORK = 5_000_000    # blocks*P^3 per pool worker: 2 lost at 8.8e6 and won at 1.2e7 (README)
 
 
 # ── lattice periodicity ────────────────────────────────────────────────────
@@ -204,30 +205,30 @@ def _bloch_spectra(models: list, theta_count: int, workers: int = 1) -> list:
     k = j + i*T, i < f.  Parity l -> -l maps the block at angle k onto the one at N - k.
     With equal kicks, fold 2 and an odd half period, time reversal maps it onto the one at
     k + T too (README).  So the spectra repeat with span S = T there and S = N elsewhere,
-    and only k = 0..S//2 is solved.  The blocks of all models with one half period (and
-    step count) share stacks of <= STACK_ENTRIES entries; the pool maps over the stacks."""
+    and only k = 0..S//2 is solved.  Models of one half period and step count share stacks
+    of <= STACK_ENTRIES entries, which a pool maps with one worker per stack, CPU and POOL_WORK."""
     steps = [_period_steps(m) for m in models]
     shapes = [_period_and_fold(m, s) for m, s in zip(models, steps)]
     spans = [theta_count * (1 if fold == 2 and full // 2 % 2 and len({x for x, _ in s}) == 1
                             else fold) for s, (full, fold) in zip(steps, shapes)]
-    groups, stacks = {}, []   # (half period, step count): models; (steps, phis, P)
+    groups, stacks, work = {}, [], 0   # (half period, step count): models; (steps, phis, P); B*P^3
     for i, (full, fold) in enumerate(shapes):
         groups.setdefault((full // fold, len(steps[i])), []).append(i)
     for (period, _), members in groups.items():
         grids = [theta_grid(shapes[i][1] * theta_count)[:spans[i] // 2 + 1] for i in members]
         blocks = [steps[i] for i, grid in zip(members, grids) for _ in grid]
         phis = np.concatenate(grids)
+        work += len(blocks) * period ** 3
         chunk = max(1, STACK_ENTRIES // period ** 2)
         for c in range(0, len(blocks), chunk):
             stacks.append((blocks[c:c + chunk], phis[c:c + chunk], period))
-    workers = min(workers, len(stacks), os.cpu_count() or 1)
+    workers = min(workers, len(stacks), os.cpu_count() or 1, work // POOL_WORK)
+    solved = map(_solve_stack, stacks)
     if workers > 1:
         from concurrent import futures   # here, so a serial run never imports logging
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_solve_stack, stacks,
                                    chunksize=max(1, len(stacks) // (4 * workers))))
-    else:
-        solved = map(_solve_stack, stacks)
     rows, out = itertools.chain.from_iterable(solved), [None] * len(models)
     for i in itertools.chain.from_iterable(groups.values()):   # the order of the rows
         (full, fold), span = shapes[i], spans[i]
@@ -296,10 +297,9 @@ def butterfly_scan(kind: str, ratio1: float, ratio2: float, s_max: int,
                    workers: int = 1) -> SpectrumSet:
     """Quasienergy spectra over all scan rationals at fixed k/hbar_eff ratios.
 
-    ratio1 and ratio2 are the kick strengths in units of hbar_eff, held fixed
-    across the scan so every rational shares the same kick profile.  Results are
-    sorted by (hbar_eff, theta) and do not depend on the worker count, which is
-    capped at the number of Bloch stacks and of CPUs.
+    ratio1 and ratio2 are the kick strengths in units of hbar_eff, held fixed across the
+    scan so every rational shares the same kick profile.  Results are sorted by (hbar_eff,
+    theta) and do not depend on workers, which only caps _bloch_spectra's process pool.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

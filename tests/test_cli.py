@@ -26,6 +26,7 @@ from kickedharper.lattice import TWO_PI
 from kickedharper.quantum import _period_steps
 from kickedharper.spectrum import _period_and_fold
 from test_classical import canonical_transform, circular_distance
+from test_spectrum import started_pools
 
 
 def write_config(tmp_path, name, payload):
@@ -65,7 +66,10 @@ def test_butterfly_writes_spectrum_csv_and_plot(tmp_path):
     assert "run_spectrum.csv" in plot
 
 
-def test_butterfly_output_is_reproducible_across_workers(tmp_path):
+def test_butterfly_output_is_reproducible_across_workers(tmp_path, monkeypatch):
+    # the scan's two stacks are far below POOL_WORK, which is lowered so the pool runs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    created = started_pools(monkeypatch)
     paths = []
     for tag, workers in (("a", None), ("b", None), ("c", 2)):
         cfg = butterfly_config(tmp_path, prefix=f"{tag}/run")
@@ -73,6 +77,7 @@ def test_butterfly_output_is_reproducible_across_workers(tmp_path):
             cfg["workers"] = workers
         assert main([write_config(tmp_path, f"{tag}.json", cfg)]) == 0
         paths.append((tmp_path / tag / "run_spectrum.csv").read_bytes())
+    assert created == [2]
     assert paths[0] == paths[1] == paths[2]
 
 
@@ -312,6 +317,7 @@ def test_every_command_runs_without_scipy(tmp_path):
     code = ("import sys\n"
             "sys.modules['scipy'] = None\n"
             "import kickedharper.cli\n"
+            "kickedharper.spectrum.POOL_WORK = 1\n"   # the butterfly pools at any work
             f"print([kickedharper.cli.main([c]) for c in {configs!r}])\n"
             "print(sorted(m for m, mod in sys.modules.items()\n"
             "             if m.startswith('scipy') and mod is not None))\n")

@@ -977,28 +977,49 @@ def test_butterfly_scan_rows_are_sorted_and_complete():
             assert all(np.all(np.diff(e, axis=1) >= 0) for e in spec.energies)
 
 
-def test_butterfly_scan_is_worker_count_invariant():
+def started_pools(monkeypatch):
+    """Lower POOL_WORK to 1, so a scan of a few tiny blocks still starts the process pool,
+    and record the max_workers of each real ProcessPoolExecutor it starts."""
+    from concurrent import futures
+    created = []
+
+    class CountingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            created.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(spectrum, "POOL_WORK", 1)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+    return created
+
+
+def test_butterfly_scan_is_worker_count_invariant(monkeypatch):
     """The equal-kick scan solves a time-reversal partner (1/3, on 3 sites), so the
-    pool children also run the orbit rule; the other scan runs parity alone."""
+    pool children also run the orbit rule; the other scan runs parity alone.  Both
+    scans are far below POOL_WORK, which is lowered so that the pool does run."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    created = started_pools(monkeypatch)
     for ratio1, ratio2, s_max in [(0.9, 0.4, 2), (0.7, 0.7, 3)]:
         models = [model_from_ratios(DKRM_RESONANT, ratio1, ratio2, r.num, r.den)
                   for r in scan_rationals(DKRM_RESONANT, s_max)]
         assert any(reversal_partner(m) and lattice_period(m) > 2 for m in models) == (
             ratio1 == ratio2)
+        created.clear()
         a = butterfly_scan(DKRM_RESONANT, ratio1, ratio2, s_max, theta_count=3)
         b = butterfly_scan(DKRM_RESONANT, ratio1, ratio2, s_max, theta_count=3, workers=2)
+        assert created == [2], (ratio1, ratio2)
         assert a.hbars == b.hbars and np.array_equal(a.thetas, b.thetas)
         assert len(a.energies) == len(b.energies)
         for ea, eb in zip(a.energies, b.energies):
             assert np.array_equal(ea, eb)
 
 
-def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch):
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
     created = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
         def __init__(self, max_workers):
             created.append(max_workers)
 
@@ -1012,15 +1033,47 @@ def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return created
+
+
+def test_butterfly_scan_caps_workers_at_rationals_and_cpus(monkeypatch, recorded_pools):
+    """The pool has at most one worker per stack, per CPU and per POOL_WORK of the
+    stacks' blocks*P^3; this scan's stacks hold 2 blocks each on 3, 2 and 1 sites."""
+    created = recorded_pools
     serial = butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2).energies
     assert len(scan_rationals(KHM, 3)) == 4  # 1/3 and 2/3 mirror: 3 solved, one stack each
-    for cpus, workers, expected in [(3, 100_000, [3]), (64, 100_000, [3]),
-                                    (8, 2, [2]), (None, 100_000, []), (1, 5, [])]:
+    work = 2 * 3 ** 3 + 2 * 2 ** 3 + 2 * 1 ** 3
+    for pool_work, cpus, workers, expected in [
+            (1, 3, 100_000, [3]), (1, 64, 100_000, [3]), (1, 8, 2, [2]),
+            (1, None, 100_000, []), (1, 1, 5, []),
+            (work + 1, 64, 100_000, []), (work // 2 + 1, 64, 100_000, []),
+            (work // 2, 64, 100_000, [2]), (work // 3, 64, 100_000, [3]),
+            (work // 3, 64, 2, [2])]:
+        monkeypatch.setattr(spectrum, "POOL_WORK", pool_work)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         created.clear()
         energies = butterfly_scan(KHM, 1.0, 1.0, 3, theta_count=2, workers=workers).energies
-        assert created == expected, (cpus, workers)
+        assert created == expected, (pool_work, cpus, workers)
         assert len(energies) == len(serial) and all(map(np.array_equal, energies, serial))
+
+
+def test_the_pool_starts_only_when_the_solve_work_repays_it(tmp_path, monkeypatch,
+                                                            recorded_pools):
+    """POOL_WORK against the measured crossover (README, "Worker count"): on two CPUs the
+    benchmark's scan butterfly (blocks*P^3 summing to 3.75e6) runs serially at --workers 2,
+    and the default-size butterfly (6.83e7) keeps its two workers."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"command": "butterfly", "s_max": 24, "theta_count": 4,
+                                "model": {"kind": DKRM_RESONANT, "k1": 1.0, "k2": 0.5},
+                                "output_prefix": str(tmp_path / "bf")}))
+    assert main([str(path), "--workers", "2"]) == 0
+    assert recorded_pools == []
+    # the default size's solve takes about a second; its stacks alone decide the pool
+    monkeypatch.setattr(spectrum, "_solve_stack",
+                        lambda stack: np.zeros((len(stack[0]), stack[2])))
+    butterfly_scan(DKRM_RESONANT, 1.0, 0.5, 30, theta_count=32, workers=2)
+    assert recorded_pools == [2]
 
 
 @pytest.mark.parametrize("kind, resonance", [(KHM, None), (DKRM_RESONANT, None),
